@@ -91,8 +91,7 @@ def cmd_trace(config: RunConfig, out_dir: str, args) -> int:
     tau = config.tau_grid("trace")
     grid = trace.default_grid(crystal, pump, float(np.max(np.abs(tau))))
 
-    nrf = trace.nrf_trace(tau, crystal, pump, grid)
-    ped = trace.pedestal_trace(tau, crystal, pump, grid)
+    nrf, ped = trace.nrf_and_pedestal(tau, crystal, pump, grid)
     detected = trace.detected_trace(nrf, det)
 
     csv_path = os.path.join(out_dir, "trace.csv")
@@ -166,27 +165,24 @@ def cmd_sweep_gain(config: RunConfig, out_dir: str, args) -> int:
 
 
 def _read_fit_csv(path):
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["power_mw", "intensity"]:
-                raise ValidationError(
-                    f"{path}: expected header 'power_mw,intensity', got {header}"
-                )
-            powers, intens = [], []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise ValidationError(f"{path}:{lineno}: expected 2 columns")
-                try:
-                    powers.append(float(row[0]))
-                    intens.append(float(row[1]))
-                except ValueError:
-                    raise ValidationError(f"{path}:{lineno}: non-numeric value")
-    except OSError:
-        raise
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != ["power_mw", "intensity"]:
+            raise ValidationError(
+                f"{path}: expected header 'power_mw,intensity', got {header}"
+            )
+        powers, intens = [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2:
+                raise ValidationError(f"{path}:{lineno}: expected 2 columns")
+            try:
+                powers.append(float(row[0]))
+                intens.append(float(row[1]))
+            except ValueError:
+                raise ValidationError(f"{path}:{lineno}: non-numeric value")
     return np.array(powers), np.array(intens)
 
 

@@ -7,7 +7,6 @@ keys are rejected outright.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

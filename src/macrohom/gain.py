@@ -134,44 +134,43 @@ def omega_max_for(crystal: CrystalParams, pump: PumpParams, cutoff: float = TAIL
     return 2.0 * x_max / dl
 
 
+def _fwhm_scale(pump: PumpParams) -> float:
+    """Spectral FWHM (nm) times the walk-off-length product d*L (ps).
+
+    |v|^2 = (G S(G^2 - x^2))^2 depends on the gain alone and decreases
+    monotonically from sinh^2 G at x = 0 to zero at x = sqrt(G^2 + pi^2), so
+    one root solve on that interval finds the half-maximum half-angle
+    x_half = d L omega_half / 2.  The full width 2 omega_half = 4 x_half / (d L)
+    maps to wavelength through d(lambda) = lambda_deg^2 d(omega) / (2 pi c).
+    """
+    g = pump.g_peak
+    if not (g > 0):
+        raise ValidationError("spectral FWHM requires g_peak > 0")
+    half = 0.5 * math.sinh(g) ** 2
+
+    def excess(x):
+        return (g * _sinc_branch(np.array([g * g - x * x]))[0]) ** 2 - half
+
+    x_zero = math.sqrt(g * g + math.pi ** 2)
+    if not (excess(0.0) > 0.0 > excess(x_zero)):
+        raise BracketingError("half-maximum crossing not bracketed: degenerate input")
+    x_half = brentq(excess, 0.0, x_zero, xtol=1e-15, rtol=8.9e-16)
+    return pump.lambda_deg ** 2 * 4.0 * x_half / (2.0 * math.pi * C_NM_PER_PS)
+
+
 def spectral_fwhm_nm(crystal: CrystalParams, pump: PumpParams) -> float:
     """FWHM of the photon spectrum, converted to wavelength (nm).
 
-    The full width in detuning (both wings, 2*omega_half) maps to
-    wavelength through d(lambda) = lambda_deg^2 * d(omega) / (2 pi c).
-    Fails if the half-maximum crossing cannot be bracketed.
+    Closed form: FWHM = lambda_deg^2 * 4 x_half / (2 pi c d L), with c the
+    speed of light, d the walk-off slope, L the crystal length and x_half
+    the half-angle at which |v|^2 = sinh^2(G) / 2, found by one scalar
+    root solve that depends on the gain G alone.
     """
-    if not (pump.g_peak > 0):
-        raise ValidationError("spectral FWHM requires g_peak > 0")
-    g = pump.g_peak
+    scale = _fwhm_scale(pump)
     dl = crystal.walkoff_slope * crystal.length_mm
     if dl <= 0:
         raise BracketingError("zero walkoff: spectrum has no finite width")
-    peak = math.sinh(g) ** 2
-    half = 0.5 * peak
-
-    def excess(omega):
-        x = 0.5 * dl * omega
-        z = g * g - x * x
-        s = _sinc_branch(np.atleast_1d(z))[0]
-        return (g * s) ** 2 - half
-
-    # The first half crossing lies inside the gain band (z from g^2 to 0
-    # drives |v|^2 from sinh^2 g down to g^2 < half for g >~ 1), but walk
-    # outward in small steps to bracket it robustly for any gain.
-    omega_hi = 2.0 * math.sqrt(g * g + math.pi ** 2) / dl  # first zero of v
-    n_scan = 4096
-    scan = np.linspace(0.0, omega_hi, n_scan)
-    vals = np.array([excess(o) for o in scan])
-    below = np.nonzero(vals < 0)[0]
-    if below.size == 0:
-        raise BracketingError("half-maximum crossing not bracketed inside the grid")
-    j = below[0]
-    if j == 0:
-        raise BracketingError("spectrum peak below half maximum: degenerate input")
-    omega_half = brentq(excess, scan[j - 1], scan[j], xtol=1e-12, rtol=8.9e-16)
-    domega = 2.0 * omega_half
-    return pump.lambda_deg ** 2 * domega / (2.0 * math.pi * C_NM_PER_PS)
+    return scale / dl
 
 
 def calibrate_walkoff(
@@ -181,40 +180,22 @@ def calibrate_walkoff(
 ) -> CrystalParams:
     """Find the walk-off slope that gives the target spectral FWHM.
 
-    The FWHM scales exactly as 1/(walkoff*length), so the root in the
-    slope is unique; it is found by bracketed root finding and refined
-    until the achieved FWHM matches the target within 1e-3 nm.
+    The FWHM scales exactly as 1/(walkoff*length), so the slope follows in
+    closed form, d* = lambda_deg^2 * 4 x_half / (2 pi c L target), with c
+    the speed of light, L the crystal length and x_half the gain-only
+    half-maximum half-angle of :func:`spectral_fwhm_nm`.  The achieved
+    FWHM must match the target within 1e-3 nm.
     """
-    if not (target_fwhm_nm > 0):
-        raise ValidationError("target FWHM must be > 0")
-    if not (pump.g_peak > 0):
-        raise ValidationError("calibration requires g_peak > 0")
-
-    def mismatch(d):
-        return spectral_fwhm_nm(CrystalParams(length_mm, d), pump) - target_fwhm_nm
-
-    lo, hi = 1e-3, 1.0
-    f_lo, f_hi = mismatch(lo), mismatch(hi)
-    for _ in range(60):
-        if f_lo > 0:
-            break
-        lo /= 4.0
-        f_lo = mismatch(lo)
-    for _ in range(60):
-        if f_hi < 0:
-            break
-        hi *= 4.0
-        f_hi = mismatch(hi)
-    if not (f_lo > 0 > f_hi):
-        raise BracketingError(
-            f"no sign change bracketing the calibration target {target_fwhm_nm} nm"
-        )
-    d_star = brentq(mismatch, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    crystal = CrystalParams(length_mm, d_star)
+    if not (0.0 < target_fwhm_nm < math.inf):
+        raise ValidationError("target FWHM must be finite and > 0")
+    if not (0.0 < length_mm < math.inf):
+        raise ValidationError(f"crystal length must be finite and > 0, got {length_mm}")
+    # divided in turn: the product length * target can underflow to zero
+    crystal = CrystalParams(length_mm, _fwhm_scale(pump) / length_mm / target_fwhm_nm)
     achieved = spectral_fwhm_nm(crystal, pump)
     if abs(achieved - target_fwhm_nm) > 1e-3:
         raise BracketingError(
-            f"calibration failed to converge: achieved {achieved} nm"
+            f"calibration missed the target: achieved {achieved} nm"
         )
     return crystal
 

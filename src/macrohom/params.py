@@ -9,7 +9,8 @@ typical crystals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,6 +18,18 @@ from .errors import ValidationError
 
 # speed of light in nm/ps
 C_NM_PER_PS = 299_792.458
+
+# largest peak gain whose photon number sinh^2(gain) is a finite float
+_MAX_GAIN = math.asinh(math.sqrt(sys.float_info.max))
+
+
+def _require_finite(record):
+    """Reject NaN and infinite values in every float field of a record;
+    comparisons such as ``x < 0`` let NaN through."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.type == "float" and not math.isfinite(value):
+            raise ValidationError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -34,6 +47,7 @@ class CrystalParams:
     walkoff_slope: float = 0.2  # ps/mm
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.length_mm > 0):
             raise ValidationError(f"crystal length must be > 0, got {self.length_mm}")
         if self.walkoff_slope < 0:
@@ -58,8 +72,12 @@ class PumpParams:
     lambda_pump: float = 354.7  # nm
 
     def __post_init__(self):
-        if self.g_peak < 0:
-            raise ValidationError(f"peak gain must be >= 0, got {self.g_peak}")
+        _require_finite(self)
+        if not (0.0 <= self.g_peak <= _MAX_GAIN):
+            raise ValidationError(
+                f"peak gain must be in [0, {_MAX_GAIN:.2f}] (sinh^2 overflows beyond), "
+                f"got {self.g_peak}"
+            )
         if not (self.t_p > 0):
             raise ValidationError(f"pulse duration must be > 0, got {self.t_p}")
         if not (self.lambda_deg > 0 and self.lambda_pump > 0):
@@ -95,6 +113,7 @@ class DetectionModel:
     n_pulses: int = 30_000
 
     def __post_init__(self):
+        _require_finite(self)
         if not (0.0 < self.eta <= 1.0):
             raise ValidationError(f"efficiency must be in (0, 1], got {self.eta}")
         if self.m_modes < 1:

@@ -35,7 +35,7 @@ and multimode detection over m modes reduces it to 1 + (g2_single - 1)/m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,12 +53,11 @@ _TAU_CHUNK = 256
 
 @dataclass(frozen=True)
 class Trace:
-    """A sampled observable versus delay, with its generating parameters."""
+    """A sampled observable versus delay."""
 
     tau: np.ndarray
     value: np.ndarray
     kind: str
-    params_digest: dict = field(default_factory=dict)
 
     def __post_init__(self):
         tau = np.asarray(self.tau, dtype=float)
@@ -108,23 +107,10 @@ def _check_resolution(grid: SpectralGrid, tau):
         )
 
 
-def _digest(crystal, pump, grid, **extra):
-    d = {
-        "crystal": {"length_mm": crystal.length_mm, "walkoff_slope": crystal.walkoff_slope},
-        "pump": {
-            "g_peak": pump.g_peak,
-            "t_p": pump.t_p,
-            "lambda_deg": pump.lambda_deg,
-            "lambda_pump": pump.lambda_pump,
-        },
-        "grid": {"omega_max": grid.omega_max, "n_omega": len(grid)},
-    }
-    d.update(extra)
-    return d
-
-
 def _trace_values(tau, crystal, pump, grid, include_interference):
-    """Shared quadrature core of nrf_trace and pedestal_trace."""
+    """Shared quadrature core: the (pedestal, nrf) values, building each
+    chunk's pedestal sum once; without the interference term the cosine
+    matrix and nrf are skipped."""
     tau = np.asarray(tau, dtype=float)
     if tau.ndim != 1 or tau.size == 0:
         raise ValidationError("tau grid must be a nonempty 1-d sequence")
@@ -132,7 +118,7 @@ def _trace_values(tau, crystal, pump, grid, include_interference):
 
     if pump.g_peak == 0.0:
         # vacuum in, shot noise out: 0/0 resolved to the physical limit
-        return np.ones_like(tau)
+        return np.ones_like(tau), np.ones_like(tau)
 
     omega = grid.omega
     u0, v0 = uv_arrays(omega, 0.0, crystal, pump)
@@ -145,41 +131,45 @@ def _trace_values(tau, crystal, pump, grid, include_interference):
     xsq = x * x
     g_tau = np.asarray(gain_at(tau, pump), dtype=float)
 
-    values = np.empty_like(tau)
+    pedestal = np.empty_like(tau)
+    nrf = np.empty_like(tau) if include_interference else None
     for lo in range(0, tau.size, _TAU_CHUNK):
         hi = min(lo + _TAU_CHUNK, tau.size)
         g = g_tau[lo:hi][:, None]
         z = g * g - xsq[None, :]
         s = _sinc_branch(z)
         v_tau_sq = (g * s) ** 2
-        pedestal = v_tau_sq @ coef
+        ped_sum = v_tau_sq @ coef
+        pedestal[lo:hi] = 1.0 + ped_sum / denom
         if include_interference:
             osc = np.cos(2.0 * np.outer(tau[lo:hi], omega))
-            pedestal += osc @ interf_coef
-        values[lo:hi] = 1.0 + pedestal / denom
-    return values
+            nrf[lo:hi] = 1.0 + (ped_sum + osc @ interf_coef) / denom
+    return pedestal, nrf
+
+
+def nrf_and_pedestal(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: SpectralGrid):
+    """The variance trace and its pedestal, (nrf, pedestal), from one kernel
+    pass: value for value those of :func:`nrf_trace` and :func:`pedestal_trace`."""
+    ped, nrf = _trace_values(tau_grid, crystal, pump, grid, include_interference=True)
+    return (
+        Trace(tau=tau_grid, value=nrf, kind="nrf_ideal"),
+        Trace(tau=tau_grid, value=ped, kind="nrf_pedestal"),
+    )
 
 
 def nrf_trace(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: SpectralGrid) -> Trace:
     """Normalized variance of the photon-number difference versus delay."""
-    values = _trace_values(tau_grid, crystal, pump, grid, include_interference=True)
-    return Trace(
-        tau=np.asarray(tau_grid, dtype=float),
-        value=values,
-        kind="nrf_ideal",
-        params_digest=_digest(crystal, pump, grid),
-    )
+    return nrf_and_pedestal(tau_grid, crystal, pump, grid)[0]
 
 
 def pedestal_trace(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: SpectralGrid) -> Trace:
     """The classical envelope-correlation component: the interference term
     dropped.  The narrow quantum component is nrf - pedestal pointwise."""
-    values = _trace_values(tau_grid, crystal, pump, grid, include_interference=False)
+    values, _ = _trace_values(tau_grid, crystal, pump, grid, include_interference=False)
     return Trace(
         tau=np.asarray(tau_grid, dtype=float),
         value=values,
         kind="nrf_pedestal",
-        params_digest=_digest(crystal, pump, grid),
     )
 
 
@@ -187,14 +177,10 @@ def detected_trace(trace: Trace, det: DetectionModel) -> Trace:
     """Finite quantum efficiency: value -> 1 + eta (value - 1)."""
     if trace.kind not in ("nrf_ideal", "nrf_pedestal"):
         raise ValidationError(f"cannot apply detection to kind {trace.kind!r}")
-    digest = dict(trace.params_digest)
-    digest["eta"] = det.eta
-    digest["detected_from"] = trace.kind
     return Trace(
         tau=trace.tau,
         value=1.0 + det.eta * (trace.value - 1.0),
         kind="nrf_detected",
-        params_digest=digest,
     )
 
 
@@ -218,8 +204,7 @@ def g2_trace(
     n_mode = math.sinh(pump.g_peak) ** 2
     g_single = 2.0 + 1.0 / n_mode - (nrf.value - 1.0) / (4.0 * n_mode)
     value = 1.0 + (g_single - 1.0) / det.m_modes
-    digest = _digest(crystal, pump, grid, m_modes=det.m_modes, n_mode=n_mode)
-    return Trace(tau=nrf.tau, value=value, kind="g2", params_digest=digest)
+    return Trace(tau=nrf.tau, value=value, kind="g2")
 
 
 def visibility(trace: Trace) -> float:
@@ -319,7 +304,6 @@ def fwhm_vs_gain(
             lambda_pump=pump_template.lambda_pump,
         )
         grid = default_grid(crystal, pump, tau_max)
-        nrf = nrf_trace(tau, crystal, pump, grid)
-        ped = pedestal_trace(tau, crystal, pump, grid)
+        nrf, ped = nrf_and_pedestal(tau, crystal, pump, grid)
         rows.append((g, fwhm_narrow(nrf, ped)))
     return rows

@@ -28,6 +28,7 @@ from macrohom.trace import (
     g2_trace,
     mode_count_g2,
     mode_count_long,
+    nrf_and_pedestal,
     nrf_trace,
     pedestal_trace,
     visibility,
@@ -51,8 +52,7 @@ def reference_traces(crystal):
     half = np.arange(0.0, 80.0001, 0.05)
     tau = np.concatenate([-half[:0:-1], half])
     grid = default_grid(crystal, PUMP, 80.0)
-    nrf = nrf_trace(tau, crystal, PUMP, grid)
-    ped = pedestal_trace(tau, crystal, PUMP, grid)
+    nrf, ped = nrf_and_pedestal(tau, crystal, PUMP, grid)
     return tau, grid, nrf, ped
 
 

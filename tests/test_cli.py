@@ -244,6 +244,21 @@ class TestMcCommand:
         assert config.detection().n_pulses == 30000
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "command, config_text, message",
+        [
+            ("calibrate", "[pump]\ngain = inf\n", "g_peak must be finite"),
+            ("calibrate", "[pump]\ngain = 1000\n", "sinh^2 overflows"),
+            ("g2", "[crystal]\nwalkoff_ps_per_mm = nan\n", "walkoff_slope must be finite"),
+            ("trace", "[detection]\nnoise_var = nan\n", "noise_var must be finite"),
+        ],
+    )
+    def test_rejected_with_message(self, tmp_path, capsys, command, config_text, message):
+        assert run(tmp_path, command, config_text) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_numerical_failure_maps_to_3(self, tmp_path, monkeypatch):
         import macrohom.cli as cli

@@ -15,7 +15,7 @@ from macrohom.gain import (
     uv,
     uv_arrays,
 )
-from macrohom.params import CrystalParams, PumpParams, SpectralGrid
+from macrohom.params import C_NM_PER_PS, CrystalParams, PumpParams, SpectralGrid
 
 REF_PUMP = PumpParams(g_peak=7.5, t_p=18.0)
 
@@ -161,7 +161,17 @@ class TestSpectralFwhm:
         doubled = crystal_with(0.4)
         f1 = spectral_fwhm_nm(base, REF_PUMP)
         f2 = spectral_fwhm_nm(doubled, REF_PUMP)
-        assert f2 == pytest.approx(f1 / 2.0, rel=0.05)
+        assert f2 == pytest.approx(f1 / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("g", [0.5, 1.0, 4.0, 7.5, 12.0])
+    def test_half_maximum_at_returned_width(self, g):
+        # read omega_half back off the width in nm and evaluate |v|^2 there
+        pump = PumpParams(g_peak=g, t_p=18.0)
+        crystal = calibrate_walkoff(1.3, pump)
+        fwhm = spectral_fwhm_nm(crystal, pump)
+        omega_half = 0.5 * fwhm * 2.0 * math.pi * C_NM_PER_PS / pump.lambda_deg**2
+        _, v = uv_arrays(np.array([omega_half]), 0.0, crystal, pump)
+        assert v[0] ** 2 == pytest.approx(0.5 * math.sinh(g) ** 2, rel=1e-10)
 
     def test_gain_broadening(self):
         c = crystal_with(0.2)
@@ -186,6 +196,29 @@ class TestCalibrateWalkoff:
         d_hi = calibrate_walkoff(1.3, PumpParams(g_peak=7.5, t_p=18.0)).walkoff_slope
         d_lo = calibrate_walkoff(1.3, PumpParams(g_peak=5.5, t_p=18.0)).walkoff_slope
         assert d_hi != pytest.approx(d_lo, rel=1e-3)
+
+    @pytest.mark.parametrize("g", [0.5, 1.0, 4.0, 5.5, 12.0])
+    def test_matches_dense_half_maximum_search(self, g):
+        # half-maximum crossing of the main lobe on a dense detuning grid at
+        # unit slope; the FWHM scales as 1/slope, so the slope giving 1.3 nm
+        # is the unit-slope FWHM over 1.3 nm
+        pump = PumpParams(g_peak=g, t_p=18.0)
+        unit = CrystalParams(length_mm=10.0, walkoff_slope=1.0)
+        omega_zero = 2.0 * math.sqrt(g**2 + math.pi**2) / unit.length_mm
+        omega = np.linspace(0.0, omega_zero, 200_001)
+        _, v = uv_arrays(omega, 0.0, unit, pump)
+        excess = v * v - 0.5 * math.sinh(g) ** 2
+        j = int(np.argmax(excess < 0))
+        omega_half = omega[j - 1] + excess[j - 1] * (omega[j] - omega[j - 1]) / (
+            excess[j - 1] - excess[j]
+        )
+        unit_fwhm = pump.lambda_deg**2 * 2.0 * omega_half / (2.0 * math.pi * C_NM_PER_PS)
+        slope = calibrate_walkoff(1.3, pump).walkoff_slope
+        assert slope == pytest.approx(unit_fwhm / 1.3, rel=1e-6)
+
+    def test_reference_slope(self):
+        slope = calibrate_walkoff(1.3, REF_PUMP, length_mm=10.0).walkoff_slope
+        assert slope == pytest.approx(0.19898926491958538, abs=1e-12)
 
     def test_invalid_target(self):
         with pytest.raises(ValidationError):

@@ -17,6 +17,7 @@ from macrohom.trace import (
     g2_trace,
     mode_count_g2,
     mode_count_long,
+    nrf_and_pedestal,
     nrf_trace,
     pedestal_trace,
     visibility,
@@ -337,6 +338,21 @@ class TestFwhmVsGain:
             fwhm_vs_gain([0.0], crystal, PUMP)
         with pytest.raises(ValidationError):
             fwhm_vs_gain([12.5], crystal, PUMP)
+
+
+class TestOnePassKernel:
+    @pytest.mark.parametrize(
+        "g, tau_max, tau_step", [(7.5, 80.0, 0.05), (5.5, 6.0, 0.02)]
+    )
+    def test_matches_separate_calls(self, crystal, g, tau_max, tau_step):
+        pump = PumpParams(g_peak=g, t_p=18.0)
+        half = np.arange(0.0, tau_max + tau_step / 2.0, tau_step)
+        tau = np.concatenate([-half[:0:-1], half])
+        grid = default_grid(crystal, pump, tau_max)
+        nrf, ped = nrf_and_pedestal(tau, crystal, pump, grid)
+        assert (nrf.kind, ped.kind) == ("nrf_ideal", "nrf_pedestal")
+        np.testing.assert_array_equal(nrf.value, nrf_trace(tau, crystal, pump, grid).value)
+        np.testing.assert_array_equal(ped.value, pedestal_trace(tau, crystal, pump, grid).value)
 
 
 class TestTraceType:
