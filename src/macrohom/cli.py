@@ -137,14 +137,8 @@ def cmd_sweep_gain(config: RunConfig, out_dir: str, args) -> int:
     pump = config.pump()
     crystal = config.crystal()
     gains = config.sweep_gains()
-    sec = config.raw["sweep"]
-    rows = trace.fwhm_vs_gain(
-        gains,
-        crystal,
-        pump,
-        tau_max=float(sec["tau_max_ps"]),
-        tau_step=float(sec["tau_step_ps"]),
-    )
+    tau_max, tau_step = config.delay_range("sweep")
+    rows = trace.fwhm_vs_gain(gains, crystal, pump, tau_max=tau_max, tau_step=tau_step)
     csv_path = os.path.join(out_dir, "sweep_gain.csv")
     _write_csv(csv_path, ["g", "fwhm_ps"], rows)
 

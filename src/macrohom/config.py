@@ -7,6 +7,7 @@ keys are rejected outright.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,12 +146,20 @@ class RunConfig:
 
     # -- grids -------------------------------------------------------------
 
-    def tau_grid(self, section: str) -> np.ndarray:
+    def delay_range(self, section: str):
+        """(tau_max_ps, tau_step_ps) of a section's delay grid, both finite
+        and positive."""
         sec = self.raw[section]
         tau_max = _parse_float(section, "tau_max_ps", sec["tau_max_ps"])
         step = _parse_float(section, "tau_step_ps", sec["tau_step_ps"])
+        if not (math.isfinite(tau_max) and math.isfinite(step)):
+            raise ValidationError(f"[{section}] delay grid bounds must be finite")
         if not (tau_max > 0 and step > 0):
             raise ValidationError(f"[{section}] delay grid must have positive extent")
+        return tau_max, step
+
+    def tau_grid(self, section: str) -> np.ndarray:
+        tau_max, step = self.delay_range(section)
         half = np.arange(0.0, tau_max + 0.5 * step, step)
         if half.size < 2:
             raise ValidationError(f"[{section}] delay grid is empty")

@@ -3,13 +3,13 @@
 Every pulse is built from independent four-mode clusters, one per
 (frequency bin, spatial mode): the mirrored pair of squeezed twin modes
 at detunings +/-Omega.  Amplitudes are drawn in the Wigner representation
-(symmetric-ordered Gaussian, variance 1/2 per quadrature at the vacuum
-inputs), pushed through the Bogoliubov map, the delay, the 50:50
-splitter and the loss channel, and converted to photon numbers with the
-|alpha|^2 - 1/2 ordering correction.  Detunings are stratified over the
-lattice bins with a uniform jitter inside each bin, which makes every
-ensemble average an unbiased estimate of the corresponding detuning
-integral at any delay (no aliasing of the exp(2 i Omega tau) phase).
+(symmetric-ordered Gaussian, <|alpha|^2> = 1/2 at the vacuum inputs),
+pushed through the Bogoliubov map, the delay, the loss channel and the
+50:50 splitter, and converted to photon numbers with the |alpha|^2 - 1/2
+ordering correction.  Detunings are stratified over the lattice bins
+with a uniform jitter inside each bin, which makes every ensemble
+average an unbiased estimate of the corresponding detuning integral at
+any delay (no aliasing of the exp(2 i Omega tau) phase).
 
 The delay enters twice, exactly as in the quadrature model:
 
@@ -25,6 +25,20 @@ The delay enters twice, exactly as in the quadrature model:
 The mirrored pair's squeezing phase is compensated so that the
 interference term carries Re(u^2) cos(2 Omega tau), matching the even
 (walk-off compensated) convention of the trace module.
+
+The sampler applies the uniform detection loss eta before the 50:50
+splitter and the window/complement rotation instead of after them.  Both
+are passive unitaries, which map i.i.d. vacuum onto i.i.d. vacuum, so
+the detected modes keep their joint distribution; the window and
+complement vacua stay vacua under the loss, so only the four twin modes
+draw loss vacua.  That leaves 14 complex vacuum inputs, 28 real normals,
+per cluster.  The detector modes are never formed: for each splitter
+input pair (x, y)
+
+    S1 + S2 = sum |x|^2 + |y|^2 - 1/2 per mode,   S1 - S2 = 2 sum Re(x y*),
+
+reduced per pulse in real arithmetic.  :func:`expected_stats` keeps the
+loss after the splitters, so it checks this equivalence independently.
 
 Per-pulse signals are summed over all cells; the ensemble estimators and
 their jackknife standard errors follow the measured definitions
@@ -48,6 +62,8 @@ from .gain import _cosh_branch, _sinc_branch, gain_at, omega_max_for
 from .params import CrystalParams, DetectionModel, PumpParams, SpectralGrid
 
 _CHUNK = 256  # pulses per RNG stream; fixed so reruns are bit-identical
+_N_NORMALS = 28  # real normals per cluster: 14 complex vacuum inputs
+_BLOCK = 16384  # clusters per arithmetic block, sized to stay in cache
 
 
 @dataclass(frozen=True)
@@ -132,11 +148,6 @@ def derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([int(seed), int(index)]).generate_state(1, np.uint64)[0])
 
 
-def _cn_halves(rng, shape):
-    """Complex Wigner vacuum samples: CN(0, 1/2) per mode."""
-    return 0.5 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-
-
 def _pair_coefficients(omega, tau: float, crystal: CrystalParams, pump: PumpParams):
     """Per-cluster coefficients shared by the sampler and its Wick moments.
 
@@ -152,8 +163,9 @@ def _pair_coefficients(omega, tau: float, crystal: CrystalParams, pump: PumpPara
     x = 0.5 * crystal.walkoff_slope * omega * crystal.length_mm
     xsq = x * x
     z0 = g0 * g0 - xsq
-    u0 = _cosh_branch(z0) + 1j * x * _sinc_branch(z0)
-    v0 = np.abs(g0 * _sinc_branch(z0))
+    s0 = _sinc_branch(z0)
+    u0 = _cosh_branch(z0) + 1j * x * s0
+    v0 = np.abs(g0 * s0)
     vt = np.abs(gt * _sinc_branch(gt * gt - xsq))
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(v0 > 0, np.minimum(vt / np.where(v0 > 0, v0, 1.0), 1.0), 1.0)
@@ -169,58 +181,82 @@ def _pair_coefficients(omega, tau: float, crystal: CrystalParams, pump: PumpPara
     return u0, v0, r, uc, vc, tc
 
 
-def _detected_modes(omega, tau, crystal, pump, eta, rng):
-    """Sample the 8 detected mode amplitudes for each cluster in ``omega``.
+def _chunk_signals(omega, tau, crystal, pump, eta, rng):
+    """Sample one chunk of pulses; return per-pulse (S1 + S2, S1 - S2).
 
-    Returns (det1, det2): two lists of 4 complex arrays each.
+    ``omega`` holds the (pulse, cluster) detunings.  Each cluster draws
+    14 complex vacuum inputs as 28 real unit normals, all in one block
+    per chunk; the optics then runs over blocks of pulses small enough
+    to stay in cache.
+    """
+    normals = rng.standard_normal((_N_NORMALS,) + omega.shape)
+    npc = omega.shape[0]
+    step = max(1, _BLOCK // omega.shape[1])
+    total = np.empty(npc)
+    diff = np.empty(npc)
+    for lo in range(0, npc, step):
+        rows = slice(lo, lo + step)
+        total[rows], diff[rows] = _block_signals(
+            omega[rows], normals[:, rows], tau, crystal, pump, eta
+        )
+    return total, diff
+
+
+def _block_signals(omega, normals, tau, crystal, pump, eta):
+    """Per-pulse (S1 + S2, S1 - S2) from each cluster's ``normals``.
+
+    Rows of ``normals`` come in (re, im) pairs: z1p, z2m, z1m, z2p (pair
+    vacua), y1m, y2p (pair-C top-up), the loss vacua of the four twin
+    modes, h+, h- (window) and v+, v- (complement).  Amplitudes are
+    carried at twice their Wigner scale, so each vacuum input is a + ib
+    with unit-normal a, b.
     """
     u0, v0, r, uc, vc, tc = _pair_coefficients(omega, tau, crystal, pump)
-    shape = omega.shape
 
-    # fixed draw order: pair vacua, pair-C thermal top-up, window vacua,
-    # complement vacua, loss vacua
-    z1p = _cn_halves(rng, shape)
-    z2m = _cn_halves(rng, shape)
-    z1m = _cn_halves(rng, shape)
-    z2p = _cn_halves(rng, shape)
-    y1m = _cn_halves(rng, shape)
-    y2p = _cn_halves(rng, shape)
-    h_p = _cn_halves(rng, shape)
-    h_m = _cn_halves(rng, shape)
-    v_p = _cn_halves(rng, shape)
-    v_m = _cn_halves(rng, shape)
+    # the uniform loss acts before the splitter and the window rotation:
+    # both are passive, so they carry i.i.d. loss vacua to i.i.d. vacua
+    # and the h, v inputs absorb them.  Only the relative delay phase
+    # exp(2 i Omega tau) of the +Omega and -Omega pairs is observable, so
+    # a phase rotation of each pair's independent inputs moves all of it
+    # onto the delayed -Omega mode.
+    amp = math.sqrt(eta)
+    ku_r, ku_i, kv = amp * u0.real, amp * u0.imag, amp * v0
+    cu_r, cu_i, cv, ct = amp * uc.real, amp * uc.imag, amp * vc, amp * tc
+    ph_c, ph_s = np.cos(2.0 * tau * omega), np.sin(2.0 * tau * omega)
+    pu_r = ph_c * cu_r + ph_s * cu_i  # exp(-2 i Omega tau) uc
+    pu_i = ph_c * cu_i - ph_s * cu_r
+    pv_r, pv_i = ph_c * cv, -ph_s * cv  # exp(-2 i Omega tau) vc
 
-    a1p = u0 * z1p + v0 * np.conj(z2m)
-    a2m = u0 * z2m + v0 * np.conj(z1p)
-    a1m = uc * z1m + vc * np.conj(z2p) + tc * y1m
-    a2p = uc * z2p + vc * np.conj(z1m) + tc * y2p
+    z1p_r, z1p_i, z2m_r, z2m_i, z1m_r, z1m_i, z2p_r, z2p_i = normals[:8]
+    y1m_r, y1m_i, y2p_r, y2p_i = normals[8:12]
+    # rows: the delayed beam's +Omega and -Omega modes, then their splitter
+    # partners a2+ and a2-; the loss vacua rows come in the same order
+    xy = np.multiply(normals[12:20], math.sqrt(1.0 - eta))
+    xy[0] += ku_r * z1p_r - ku_i * z1p_i + kv * z2m_r
+    xy[1] += ku_i * z1p_r + ku_r * z1p_i - kv * z2m_i
+    xy[2] += pu_r * z1m_r - pu_i * z1m_i + pv_r * z2p_r + pv_i * z2p_i + ct * y1m_r
+    xy[3] += pu_i * z1m_r + pu_r * z1m_i + pv_i * z2p_r - pv_r * z2p_i + ct * y1m_i
+    xy[4] += cu_r * z2p_r - cu_i * z2p_i + cv * z1m_r + ct * y2p_r
+    xy[5] += cu_i * z2p_r + cu_r * z2p_i - cv * z1m_i + ct * y2p_i
+    xy[6] += ku_r * z2m_r - ku_i * z2m_i + kv * z1p_r
+    xy[7] += ku_i * z2m_r + ku_r * z2m_i - kv * z1p_i
 
-    phase = np.exp(1j * omega * tau)
+    # splitter input pairs (w, a2) and (c, v), with window w = r x + s h
+    # and complement c = r h - s x of each delayed mode x.  Per delayed
+    # mode S1 - S2 = 2 Re(w a2* + c v*) and S1 + S2 = |w|^2 + |a2|^2 +
+    # |c|^2 + |v|^2 - 2, where |w|^2 + |c|^2 = |x|^2 + |h|^2.
+    x, y = xy[:4], xy[4:]
+    hv = normals[20:]
+    h, v = hv[:4], hv[4:]
     s = np.sqrt(1.0 - r * r)
-    w_p = r * phase * a1p + s * h_p
-    c_p = -s * phase * a1p + r * h_p
-    w_m = r * np.conj(phase) * a1m + s * h_m
-    c_m = -s * np.conj(phase) * a1m + r * h_m
-
-    isq2 = 1.0 / math.sqrt(2.0)
-    det1 = [
-        (w_p + a2p) * isq2,
-        (w_m + a2m) * isq2,
-        (c_p + v_p) * isq2,
-        (c_m + v_m) * isq2,
-    ]
-    det2 = [
-        (a2p - w_p) * isq2,
-        (a2m - w_m) * isq2,
-        (v_p - c_p) * isq2,
-        (v_m - c_m) * isq2,
-    ]
-    if eta < 1.0:
-        amp = math.sqrt(eta)
-        mix = math.sqrt(1.0 - eta)
-        det1 = [amp * d + mix * _cn_halves(rng, shape) for d in det1]
-        det2 = [amp * d + mix * _cn_halves(rng, shape) for d in det2]
-    return det1, det2
+    norm = np.einsum("rpc,rpc->p", xy, xy) + np.einsum("rpc,rpc->p", hv, hv)
+    cross = (
+        np.einsum("pc,rpc,rpc->p", r, x, y)
+        + np.einsum("pc,rpc,rpc->p", r, h, v)
+        + np.einsum("pc,rpc,rpc->p", s, h, y)
+        - np.einsum("pc,rpc,rpc->p", s, x, v)
+    )
+    return 0.25 * norm - 4.0 * omega.shape[1], 0.5 * cross
 
 
 def simulate_ensemble(
@@ -247,7 +283,6 @@ def simulate_ensemble(
 
     s1 = np.empty(n_pulses)
     s2 = np.empty(n_pulses)
-    modes_per_det = 4 * m * k
     noise_amp = math.sqrt(det.noise_var)
 
     for chunk_idx, lo in enumerate(range(0, n_pulses, _CHUNK)):
@@ -257,12 +292,10 @@ def simulate_ensemble(
             np.random.Philox(key=np.array([seed, chunk_idx], dtype=np.uint64))
         )
         jitter = rng.random((npc, m, k))
-        omega = (bins[None, None, :] + jitter) * dw
-        det1, det2 = _detected_modes(omega, tau, crystal, pump, det.eta, rng)
-        tot1 = sum(np.abs(d) ** 2 for d in det1).sum(axis=(1, 2))
-        tot2 = sum(np.abs(d) ** 2 for d in det2).sum(axis=(1, 2))
-        s1[lo:hi] = tot1 - 0.5 * modes_per_det
-        s2[lo:hi] = tot2 - 0.5 * modes_per_det
+        omega = ((bins + jitter) * dw).reshape(npc, m * k)
+        total, diff = _chunk_signals(omega, tau, crystal, pump, det.eta, rng)
+        s1[lo:hi] = 0.5 * (total + diff)
+        s2[lo:hi] = 0.5 * (total - diff)
         if noise_amp > 0:
             s1[lo:hi] += noise_amp * rng.standard_normal(npc)
             s2[lo:hi] += noise_amp * rng.standard_normal(npc)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketingError, GridResolutionError, ValidationError
+from .errors import BracketingError, GridResolutionError, NumericalError, ValidationError
 from .gain import _sinc_branch, gain_at, omega_max_for, uv_arrays
 from .params import CrystalParams, DetectionModel, PumpParams, SpectralGrid
 
@@ -70,6 +70,8 @@ class Trace:
             raise ValidationError("tau and value must have equal length")
         if np.any(np.diff(tau) <= 0):
             raise ValidationError("tau grid must be strictly increasing")
+        if not np.all(np.isfinite(value)):
+            raise NumericalError(f"{self.kind} trace has non-finite values")
         if self.kind.startswith("nrf") and np.any(value < _NRF_FLOOR):
             raise ValidationError(
                 f"nrf trace dips below shot noise: min {value.min()}"

@@ -195,6 +195,7 @@ def test_07_fock_oracle_equivalence():
     )
 
 
+@pytest.mark.slow
 def test_08_monte_carlo_consistency(crystal):
     t0 = time.monotonic()
     taus = [0.0, 0.5, 1.0, 1.5, 2.5, 4.0, 6.0, 10.0, 16.0, 28.0, 45.0]

@@ -252,6 +252,9 @@ class TestNonFiniteInputs:
             ("calibrate", "[pump]\ngain = 1000\n", "sinh^2 overflows"),
             ("g2", "[crystal]\nwalkoff_ps_per_mm = nan\n", "walkoff_slope must be finite"),
             ("trace", "[detection]\nnoise_var = nan\n", "noise_var must be finite"),
+            ("trace", "[trace]\ntau_max_ps = inf\n", "delay grid bounds must be finite"),
+            ("sweep-gain", "[sweep]\ntau_max_ps = abc\n", "tau_max_ps: expected a number"),
+            ("sweep-gain", "[sweep]\ntau_max_ps = inf\n", "delay grid bounds must be finite"),
         ],
     )
     def test_rejected_with_message(self, tmp_path, capsys, command, config_text, message):
@@ -269,6 +272,11 @@ class TestExitCodes:
 
         monkeypatch.setitem(cli._COMMANDS, "calibrate", boom)
         assert main(["calibrate", "--out", str(tmp_path)]) == 3
+
+    def test_non_finite_trace_maps_to_3(self, tmp_path, capsys):
+        # sinh^4 G overflows the interference weight at this gain
+        assert run(tmp_path, "g2", FAST_G2 + "\n[pump]\ngain = 300\n") == 3
+        assert "non-finite" in capsys.readouterr().err
 
     def test_io_failure_maps_to_4(self, tmp_path):
         target = tmp_path / "blocked"

@@ -128,9 +128,27 @@ class TestSimulateEnsemble:
         base = simulate_ensemble(crystal, PUMP, det0, lattice, 40.0, seed=13)
         noisy = simulate_ensemble(crystal, PUMP, det1, lattice, 40.0, seed=13)
         assert noisy.nrf_hat > base.nrf_hat
+        _, nrf_e, g2_e = expected_stats(crystal, PUMP, det1, lattice, 40.0)
+        assert abs(noisy.nrf_hat - nrf_e) < 3.0 * noisy.se_nrf
+        assert abs(noisy.g2_hat - g2_e) < 3.0 * noisy.se_g2
 
     def test_wigner_guard(self, crystal, lattice):
         assert wigner_cell_occupancy(crystal, PUMP, lattice) >= 10.0
+
+
+class TestExpectedStats:
+    # recorded (mean_s1, nrf, g2) of the exact moments, so the oracle
+    # cannot drift along with the sampler it checks
+    PINNED = {
+        0.0: (1426358.5227952246, 33842.16929627937, 1.0000782971552307),
+        2.0: (1426358.5227952246, 13566.59258933327, 1.0071857587025603),
+        45.0: (1426358.5227952246, 1.0000897640798805, 1.011941082235449),
+    }
+
+    @pytest.mark.parametrize("tau", sorted(PINNED))
+    def test_pinned_values(self, crystal, lattice, tau):
+        got = expected_stats(crystal, PUMP, small_det(), lattice, tau)
+        assert got == pytest.approx(self.PINNED[tau], rel=1e-12)
 
 
 class TestDipScan:
