@@ -17,7 +17,6 @@ from .errors import (
 )
 from .fock import TmsvState, hom_stats, nrf_single_mode, tmsv
 from .gain import (
-    GainSample,
     calibrate_walkoff,
     delta,
     fit_gain_curve,
@@ -25,7 +24,6 @@ from .gain import (
     omega_max_for,
     spectral_fwhm_nm,
     spectrum,
-    uv,
     uv_arrays,
 )
 from .montecarlo import (

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -225,19 +224,7 @@ def cmd_mc(config: RunConfig, out_dir: str, args) -> int:
     lattice = montecarlo.LatticeSpec.default(crystal, pump, n_freq_bins=config.mc_freq_bins())
     taus = config.mc_tau_points()
     seed = args.seed if args.seed is not None else config.mc_seed()
-
-    def run_point(idx_tau):
-        idx, tau = idx_tau
-        return montecarlo.simulate_ensemble(
-            crystal, pump, det, lattice, tau, montecarlo.derive_seed(seed, idx)
-        )
-
-    jobs = list(enumerate(taus))
-    if args.threads and args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            stats = list(pool.map(run_point, jobs))
-    else:
-        stats = [run_point(job) for job in jobs]
+    stats = montecarlo.dip_scan(crystal, pump, det, lattice, taus, seed, threads=args.threads)
 
     csv_path = os.path.join(out_dir, "mc.csv")
     _write_csv(
@@ -285,8 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="INI run configuration")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed override")
-        p.add_argument("--threads", type=int, default=1, help="worker thread cap")
+        if name == "mc":
+            p.add_argument("--seed", type=int, default=None, help="RNG seed override")
+            p.add_argument("--threads", type=int, default=1, help="worker thread cap")
     return parser
 
 

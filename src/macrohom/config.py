@@ -10,11 +10,10 @@ import configparser
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ValidationError
 from .gain import calibrate_walkoff
 from .params import CrystalParams, DetectionModel, PumpParams
+from .trace import delay_grid
 
 _DEFAULTS = {
     "crystal": {
@@ -78,9 +77,12 @@ def _parse_int(section, key, raw):
 
 def _parse_floats(section, key, raw):
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ValidationError(f"[{section}] {key}: expected comma-separated numbers")
+    if not all(math.isfinite(v) for v in values):
+        raise ValidationError(f"[{section}] {key}: values must be finite, got {raw!r}")
+    return values
 
 
 @dataclass
@@ -158,12 +160,11 @@ class RunConfig:
             raise ValidationError(f"[{section}] delay grid must have positive extent")
         return tau_max, step
 
-    def tau_grid(self, section: str) -> np.ndarray:
-        tau_max, step = self.delay_range(section)
-        half = np.arange(0.0, tau_max + 0.5 * step, step)
-        if half.size < 2:
+    def tau_grid(self, section: str):
+        tau = delay_grid(*self.delay_range(section))
+        if tau.size < 3:
             raise ValidationError(f"[{section}] delay grid is empty")
-        return np.concatenate([-half[:0:-1], half])
+        return tau
 
     def sweep_gains(self):
         values = _parse_floats("sweep", "g_values", self.raw["sweep"]["g_values"])
@@ -191,10 +192,11 @@ class RunConfig:
 
     def calibration_target(self):
         sec = self.raw["calibrate"]
-        return (
-            _parse_float("calibrate", "target_fwhm_nm", sec["target_fwhm_nm"]),
-            _parse_float("calibrate", "length_mm", sec["length_mm"]),
-        )
+        target = _parse_float("calibrate", "target_fwhm_nm", sec["target_fwhm_nm"])
+        length = _parse_float("calibrate", "length_mm", sec["length_mm"])
+        if not (math.isfinite(target) and math.isfinite(length)):
+            raise ValidationError("[calibrate] target_fwhm_nm and length_mm must be finite")
+        return target, length
 
     def resolved(self) -> dict:
         """Flat copy of every parameter for the run manifest."""

@@ -18,7 +18,6 @@ removable singularity at z = 0 harmless; a short Taylor series covers
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, curve_fit
@@ -78,12 +77,24 @@ def _sinc_branch(z):
     return out
 
 
-@dataclass(frozen=True)
-class GainSample:
-    """One evaluation of the Bogoliubov pair (u, v)."""
+def _half_angle(omega, crystal: CrystalParams):
+    """Phase-mismatch half-angle x = walkoff_slope * omega * length / 2."""
+    return 0.5 * delta(omega, crystal) * crystal.length_mm
 
-    u: complex
-    v: float
+
+def _v_abs(g, x):
+    """|v| = |G S(G^2 - x^2)| alone, for callers that never need u: C is
+    not evaluated.  ``g`` and ``x`` broadcast against each other."""
+    return np.abs(g * _sinc_branch(g * g - x * x))
+
+
+def _bogoliubov(g, x):
+    """The Bogoliubov pair u = C(z) + i x S(z), v = |G S(z)| at gain ``g``
+    and half-angle ``x``, z = G^2 - x^2; v is :func:`_v_abs` with S(z)
+    evaluated once for both."""
+    z = g * g - x * x
+    s = _sinc_branch(z)
+    return _cosh_branch(z) + 1j * x * s, np.abs(g * s)
 
 
 def uv_arrays(omega, t: float, crystal: CrystalParams, pump: PumpParams):
@@ -95,25 +106,12 @@ def uv_arrays(omega, t: float, crystal: CrystalParams, pump: PumpParams):
     mirrored detunings, so it is unobservable, and |v| keeps the
     twin-pair amplitude convention nonnegative everywhere.
     """
-    g = float(gain_at(t, pump))
-    x = 0.5 * delta(omega, crystal) * crystal.length_mm
-    z = g * g - x * x
-    c = _cosh_branch(z)
-    s = _sinc_branch(z)
-    u = c + 1j * x * s
-    v = np.abs(g * s)
-    return u, v
-
-
-def uv(omega: float, t: float, crystal: CrystalParams, pump: PumpParams) -> GainSample:
-    """Scalar convenience wrapper around :func:`uv_arrays`."""
-    u, v = uv_arrays(np.atleast_1d(float(omega)), t, crystal, pump)
-    return GainSample(u=complex(u[0]), v=float(v[0]))
+    return _bogoliubov(float(gain_at(t, pump)), _half_angle(omega, crystal))
 
 
 def spectrum(grid: SpectralGrid, crystal: CrystalParams, pump: PumpParams):
     """Photon spectral density per mode |v(omega, 0)|^2 on the grid."""
-    _, v = uv_arrays(grid.omega, 0.0, crystal, pump)
+    v = _v_abs(float(gain_at(0.0, pump)), _half_angle(grid.omega, crystal))
     return v * v
 
 
@@ -149,7 +147,7 @@ def _fwhm_scale(pump: PumpParams) -> float:
     half = 0.5 * math.sinh(g) ** 2
 
     def excess(x):
-        return (g * _sinc_branch(np.array([g * g - x * x]))[0]) ** 2 - half
+        return _v_abs(g, np.array([x]))[0] ** 2 - half
 
     x_zero = math.sqrt(g * g + math.pi ** 2)
     if not (excess(0.0) > 0.0 > excess(x_zero)):

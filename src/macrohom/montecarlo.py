@@ -53,13 +53,14 @@ derive child seeds from (seed, point index).
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .gain import _cosh_branch, _sinc_branch, gain_at, omega_max_for
-from .params import CrystalParams, DetectionModel, PumpParams, SpectralGrid
+from .gain import _bogoliubov, _half_angle, _v_abs, gain_at, omega_max_for, spectral_fwhm_nm, spectrum
+from .params import C_NM_PER_PS, CrystalParams, DetectionModel, PumpParams, SpectralGrid
 
 _CHUNK = 256  # pulses per RNG stream; fixed so reruns are bit-identical
 _N_NORMALS = 28  # real normals per cluster: 14 complex vacuum inputs
@@ -104,9 +105,6 @@ class LatticeSpec:
     ) -> "LatticeSpec":
         """Reference-configuration lattice: slice = one coherence time, bins
         tiling the spectrum up to the tail cutoff, window >= 6 sigma."""
-        from .gain import spectral_fwhm_nm
-        from .params import C_NM_PER_PS
-
         omega_max = omega_max_for(crystal, pump)
         fwhm_nm = spectral_fwhm_nm(crystal, pump)
         fwhm_rad = fwhm_nm * 2.0 * math.pi * C_NM_PER_PS / pump.lambda_deg**2
@@ -158,15 +156,9 @@ def _pair_coefficients(omega, tau: float, crystal: CrystalParams, pump: PumpPara
     exactly Re(u0^2) cos(2 Omega tau) while keeping both occupations at
     v0^2.
     """
-    g0 = float(gain_at(0.0, pump))
-    gt = float(gain_at(tau, pump))
-    x = 0.5 * crystal.walkoff_slope * omega * crystal.length_mm
-    xsq = x * x
-    z0 = g0 * g0 - xsq
-    s0 = _sinc_branch(z0)
-    u0 = _cosh_branch(z0) + 1j * x * s0
-    v0 = np.abs(g0 * s0)
-    vt = np.abs(gt * _sinc_branch(gt * gt - xsq))
+    x = _half_angle(omega, crystal)
+    u0, v0 = _bogoliubov(float(gain_at(0.0, pump)), x)
+    vt = _v_abs(float(gain_at(tau, pump)), x)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.where(v0 > 0, np.minimum(vt / np.where(v0 > 0, v0, 1.0), 1.0), 1.0)
 
@@ -181,15 +173,18 @@ def _pair_coefficients(omega, tau: float, crystal: CrystalParams, pump: PumpPara
     return u0, v0, r, uc, vc, tc
 
 
-def _chunk_signals(omega, tau, crystal, pump, eta, rng):
+def _chunk_signals(omega, tau, crystal, pump, eta, rng, buffer):
     """Sample one chunk of pulses; return per-pulse (S1 + S2, S1 - S2).
 
     ``omega`` holds the (pulse, cluster) detunings.  Each cluster draws
     14 complex vacuum inputs as 28 real unit normals, all in one block
-    per chunk; the optics then runs over blocks of pulses small enough
-    to stay in cache.
+    per chunk, written into ``buffer``: one allocation per ensemble, since
+    freeing and re-allocating the tens-of-MB block every chunk fragments
+    the heap and can raise peak memory by a block.  The optics then runs
+    over blocks of pulses small enough to stay in cache.
     """
-    normals = rng.standard_normal((_N_NORMALS,) + omega.shape)
+    normals = buffer[: _N_NORMALS * omega.size].reshape((_N_NORMALS,) + omega.shape)
+    rng.standard_normal(out=normals)
     npc = omega.shape[0]
     step = max(1, _BLOCK // omega.shape[1])
     total = np.empty(npc)
@@ -270,7 +265,7 @@ def simulate_ensemble(
     """Simulate ``det.n_pulses`` pulses at a single delay and form the
     twin-signal estimators with jackknife standard errors."""
     lattice.validate_against(pump)
-    if abs(tau) > lattice.time_span:
+    if not (abs(tau) <= lattice.time_span):  # NaN fails too
         raise ValidationError(
             f"delay {tau} ps outside the lattice time span {lattice.time_span} ps"
         )
@@ -284,6 +279,7 @@ def simulate_ensemble(
     s1 = np.empty(n_pulses)
     s2 = np.empty(n_pulses)
     noise_amp = math.sqrt(det.noise_var)
+    buffer = np.empty(_N_NORMALS * min(_CHUNK, n_pulses) * m * k)
 
     for chunk_idx, lo in enumerate(range(0, n_pulses, _CHUNK)):
         hi = min(lo + _CHUNK, n_pulses)
@@ -293,7 +289,7 @@ def simulate_ensemble(
         )
         jitter = rng.random((npc, m, k))
         omega = ((bins + jitter) * dw).reshape(npc, m * k)
-        total, diff = _chunk_signals(omega, tau, crystal, pump, det.eta, rng)
+        total, diff = _chunk_signals(omega, tau, crystal, pump, det.eta, rng, buffer)
         s1[lo:hi] = 0.5 * (total + diff)
         s2[lo:hi] = 0.5 * (total - diff)
         if noise_amp > 0:
@@ -363,14 +359,23 @@ def dip_scan(
     lattice: LatticeSpec,
     tau_grid,
     seed: int,
+    threads: int = 1,
 ):
-    """One ensemble per delay, with child seeds derived from (seed, index)."""
-    out = []
-    for idx, tau in enumerate(np.asarray(tau_grid, dtype=float)):
-        out.append(
-            simulate_ensemble(crystal, pump, det, lattice, float(tau), derive_seed(seed, idx))
-        )
-    return out
+    """One ensemble per delay, with child seeds derived from (seed, index).
+
+    ``threads`` > 1 runs the delays in a thread pool (numpy's generators
+    release the GIL); each delay keeps its own seed, so the results are
+    identical for every thread count.
+    """
+    taus = [float(tau) for tau in np.asarray(tau_grid, dtype=float)]
+
+    def point(idx):
+        return simulate_ensemble(crystal, pump, det, lattice, taus[idx], derive_seed(seed, idx))
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(point, range(len(taus))))
+    return [point(idx) for idx in range(len(taus))]
 
 
 def expected_stats(
@@ -501,8 +506,7 @@ def wigner_cell_occupancy(
     the ensemble ratios below the percent level.
     """
     grid = SpectralGrid.gauss_legendre(lattice.omega_max, 2048)
-    _, v0, *_ = _pair_coefficients(grid.omega, 0.0, crystal, pump)
-    n = v0 * v0
+    n = spectrum(grid, crystal, pump)
     flux = float(np.sum(grid.weights * n))
     if flux <= 0:
         return 0.0

@@ -172,16 +172,3 @@ class SpectralGrid:
         omega = (mid[:, None] + half[:, None] * x[None, :]).ravel()
         weights = (half[:, None] * w[None, :]).ravel()
         return cls(omega, weights)
-
-    @classmethod
-    def linear(cls, omega_max: float, n: int) -> "SpectralGrid":
-        """Uniform samples from 0 to omega_max with trapezoid weights."""
-        if not (omega_max > 0):
-            raise ValidationError("omega_max must be > 0")
-        if n < 2:
-            raise ValidationError("need at least 2 samples")
-        omega = np.linspace(0.0, omega_max, n)
-        h = omega[1] - omega[0]
-        weights = np.full(n, h)
-        weights[0] = weights[-1] = h / 2.0
-        return cls(omega, weights)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketingError, GridResolutionError, NumericalError, ValidationError
-from .gain import _sinc_branch, gain_at, omega_max_for, uv_arrays
+from .gain import _half_angle, _v_abs, gain_at, omega_max_for, uv_arrays
 from .params import CrystalParams, DetectionModel, PumpParams, SpectralGrid
 
 TRACE_KINDS = ("nrf_ideal", "nrf_detected", "nrf_pedestal", "g2")
@@ -49,6 +49,12 @@ TRACE_KINDS = ("nrf_ideal", "nrf_detected", "nrf_pedestal", "g2")
 _NRF_FLOOR = 1.0 - 1e-6
 
 _TAU_CHUNK = 256
+
+# resource guards, about 40x and 28x the reference sizes (1600 delays per
+# side, 2304 nodes): at the node cap one (chunk x node) kernel matrix is
+# 256 * 65536 float64 = 128 MiB
+_MAX_DELAYS_PER_SIDE = 65536
+_MAX_NODES = 65536
 
 
 @dataclass(frozen=True)
@@ -84,8 +90,28 @@ class Trace:
 
 
 def required_nodes(omega_max: float, tau_max: float) -> int:
-    """Node count resolving exp(2 i w tau): 8 samples per period."""
-    return max(2048, int(math.ceil(8.0 * omega_max * abs(tau_max) / math.pi)))
+    """Node count resolving exp(2 i w tau): 8 samples per period, at most
+    _MAX_NODES."""
+    needed = 8.0 * omega_max * abs(tau_max) / math.pi
+    if not (needed <= _MAX_NODES):
+        raise ValidationError(
+            f"resolving delays to |tau| = {tau_max} ps needs {needed:.3g} "
+            f"quadrature nodes, above the cap of {_MAX_NODES}"
+        )
+    return max(2048, int(math.ceil(needed)))
+
+
+def delay_grid(tau_max: float, tau_step: float) -> np.ndarray:
+    """Symmetric delay grid from -tau_max to tau_max in steps of tau_step,
+    with at most _MAX_DELAYS_PER_SIDE points per side."""
+    stop = tau_max + 0.5 * tau_step
+    if not (tau_step > 0 and stop / tau_step <= _MAX_DELAYS_PER_SIDE):
+        raise ValidationError(
+            f"delay grid to {tau_max} ps in steps of {tau_step} ps needs a "
+            f"positive step and at most {_MAX_DELAYS_PER_SIDE} points per side"
+        )
+    half = np.arange(0.0, stop, tau_step)
+    return np.concatenate([-half[:0:-1], half])
 
 
 def default_grid(crystal: CrystalParams, pump: PumpParams, tau_max: float) -> SpectralGrid:
@@ -109,10 +135,9 @@ def _check_resolution(grid: SpectralGrid, tau):
         )
 
 
-def _trace_values(tau, crystal, pump, grid, include_interference):
+def _trace_values(tau, crystal, pump, grid):
     """Shared quadrature core: the (pedestal, nrf) values, building each
-    chunk's pedestal sum once; without the interference term the cosine
-    matrix and nrf are skipped."""
+    chunk's pedestal sum once for both."""
     tau = np.asarray(tau, dtype=float)
     if tau.ndim != 1 or tau.size == 0:
         raise ValidationError("tau grid must be a nonempty 1-d sequence")
@@ -129,30 +154,24 @@ def _trace_values(tau, crystal, pump, grid, include_interference):
     denom = float(np.sum(coef))
     interf_coef = coef * (u0.real**2 - u0.imag**2)  # w * v0^2 * Re(u0^2)
 
-    x = 0.5 * crystal.walkoff_slope * omega * crystal.length_mm
-    xsq = x * x
+    x = _half_angle(omega, crystal)
     g_tau = np.asarray(gain_at(tau, pump), dtype=float)
 
     pedestal = np.empty_like(tau)
-    nrf = np.empty_like(tau) if include_interference else None
+    nrf = np.empty_like(tau)
     for lo in range(0, tau.size, _TAU_CHUNK):
         hi = min(lo + _TAU_CHUNK, tau.size)
-        g = g_tau[lo:hi][:, None]
-        z = g * g - xsq[None, :]
-        s = _sinc_branch(z)
-        v_tau_sq = (g * s) ** 2
-        ped_sum = v_tau_sq @ coef
+        ped_sum = _v_abs(g_tau[lo:hi][:, None], x) ** 2 @ coef
         pedestal[lo:hi] = 1.0 + ped_sum / denom
-        if include_interference:
-            osc = np.cos(2.0 * np.outer(tau[lo:hi], omega))
-            nrf[lo:hi] = 1.0 + (ped_sum + osc @ interf_coef) / denom
+        osc = np.cos(2.0 * np.outer(tau[lo:hi], omega))
+        nrf[lo:hi] = 1.0 + (ped_sum + osc @ interf_coef) / denom
     return pedestal, nrf
 
 
 def nrf_and_pedestal(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: SpectralGrid):
     """The variance trace and its pedestal, (nrf, pedestal), from one kernel
-    pass: value for value those of :func:`nrf_trace` and :func:`pedestal_trace`."""
-    ped, nrf = _trace_values(tau_grid, crystal, pump, grid, include_interference=True)
+    pass."""
+    ped, nrf = _trace_values(tau_grid, crystal, pump, grid)
     return (
         Trace(tau=tau_grid, value=nrf, kind="nrf_ideal"),
         Trace(tau=tau_grid, value=ped, kind="nrf_pedestal"),
@@ -167,12 +186,7 @@ def nrf_trace(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: Spectral
 def pedestal_trace(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: SpectralGrid) -> Trace:
     """The classical envelope-correlation component: the interference term
     dropped.  The narrow quantum component is nrf - pedestal pointwise."""
-    values, _ = _trace_values(tau_grid, crystal, pump, grid, include_interference=False)
-    return Trace(
-        tau=np.asarray(tau_grid, dtype=float),
-        value=values,
-        kind="nrf_pedestal",
-    )
+    return nrf_and_pedestal(tau_grid, crystal, pump, grid)[1]
 
 
 def detected_trace(trace: Trace, det: DetectionModel) -> Trace:
@@ -295,8 +309,7 @@ def fwhm_vs_gain(
     for g in g_values:
         if not (0.0 < g <= 12.0):
             raise ValidationError(f"gain {g} outside (0, 12]")
-    half = np.arange(0.0, tau_max + tau_step / 2.0, tau_step)
-    tau = np.concatenate([-half[:0:-1], half])
+    tau = delay_grid(tau_max, tau_step)
     rows = []
     for g in g_values:
         pump = PumpParams(

@@ -255,11 +255,26 @@ class TestNonFiniteInputs:
             ("trace", "[trace]\ntau_max_ps = inf\n", "delay grid bounds must be finite"),
             ("sweep-gain", "[sweep]\ntau_max_ps = abc\n", "tau_max_ps: expected a number"),
             ("sweep-gain", "[sweep]\ntau_max_ps = inf\n", "delay grid bounds must be finite"),
+            ("mc", "[mc]\ntau_points = 0,nan\n", "tau_points: values must be finite"),
+            # grids too large to build are refused from their size estimate
+            ("trace", "[trace]\ntau_max_ps = 1e300\n", "points per side"),
+            ("sweep-gain", "[sweep]\ntau_max_ps = 1e300\n", "points per side"),
+            ("trace", "[trace]\ntau_step_ps = 1e-300\n", "points per side"),
+            ("g2", "[g2]\ntau_max_ps = 3000\ntau_step_ps = 1.0\n", "quadrature nodes"),
         ],
     )
     def test_rejected_with_message(self, tmp_path, capsys, command, config_text, message):
         assert run(tmp_path, command, config_text) == 2
         assert message in capsys.readouterr().err
+
+
+class TestSeedAndThreadsOptions:
+    @pytest.mark.parametrize("command", ["trace", "g2", "sweep-gain", "fit-gain", "calibrate"])
+    @pytest.mark.parametrize("option", ["--seed", "--threads"])
+    def test_only_mc_accepts_them(self, tmp_path, command, option):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path), option, "2"])
+        assert exc.value.code == 2
 
 
 class TestExitCodes:

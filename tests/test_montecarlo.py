@@ -97,6 +97,8 @@ class TestSimulateEnsemble:
         det = small_det(n_pulses=200)
         with pytest.raises(ValidationError):
             simulate_ensemble(crystal, PUMP, det, lattice, lattice.time_span + 1.0, seed=1)
+        with pytest.raises(ValidationError, match="outside the lattice time span"):
+            simulate_ensemble(crystal, PUMP, det, lattice, math.nan, seed=1)
 
     def test_loss_affine_law(self, crystal, lattice):
         # the exact moments obey the affine map identically; the sampled
@@ -161,6 +163,13 @@ class TestDipScan:
                 crystal, PUMP, det, lattice, tau, derive_seed(101, idx)
             )
             assert scan[idx] == single
+
+    def test_threads_match_sequential(self, crystal, lattice):
+        det = small_det(n_pulses=300)
+        taus = [0.0, 2.0, 5.0]
+        assert dip_scan(crystal, PUMP, det, lattice, taus, 7, threads=2) == dip_scan(
+            crystal, PUMP, det, lattice, taus, 7
+        )
 
     def test_g2_dips_at_zero_delay(self, crystal):
         # physical-mode lattice: one cluster per longitudinal mode

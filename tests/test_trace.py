@@ -10,6 +10,7 @@ from macrohom.params import CrystalParams, DetectionModel, PumpParams, SpectralG
 from macrohom.trace import (
     Trace,
     default_grid,
+    delay_grid,
     detected_trace,
     fwhm_narrow,
     fwhm_pedestal,
@@ -20,6 +21,7 @@ from macrohom.trace import (
     nrf_and_pedestal,
     nrf_trace,
     pedestal_trace,
+    required_nodes,
     visibility,
 )
 
@@ -353,6 +355,37 @@ class TestOnePassKernel:
         assert (nrf.kind, ped.kind) == ("nrf_ideal", "nrf_pedestal")
         np.testing.assert_array_equal(nrf.value, nrf_trace(tau, crystal, pump, grid).value)
         np.testing.assert_array_equal(ped.value, pedestal_trace(tau, crystal, pump, grid).value)
+
+
+class TestDelayGrid:
+    @pytest.mark.parametrize("tau_max, step", [(80.0, 0.05), (6.0, 0.02), (0.3, 0.1)])
+    def test_symmetric_arange_grid(self, tau_max, step):
+        half = np.arange(0.0, tau_max + step / 2.0, step)
+        tau = delay_grid(tau_max, step)
+        np.testing.assert_array_equal(tau, np.concatenate([-half[:0:-1], half]))
+        np.testing.assert_array_equal(tau, -tau[::-1])
+        assert tau.size == 2 * round(tau_max / step) + 1
+
+    @pytest.mark.parametrize(
+        "tau_max, step",
+        [(1e300, 0.05), (80.0, 1e-300), (math.inf, 0.05), (math.nan, 0.05), (80.0, 0.0),
+         (80.0, -0.05), (80.0, math.nan), (1.7e308, 1e308)],
+    )
+    def test_size_guard(self, tau_max, step):
+        with pytest.raises(ValidationError, match="points per side"):
+            delay_grid(tau_max, step)
+
+
+class TestRequiredNodes:
+    def test_reference_grid_size(self, crystal):
+        assert len(default_grid(crystal, PUMP, 80.0)) == 2304
+
+    @pytest.mark.parametrize("tau_max", [1e9, math.inf, math.nan])
+    def test_cap(self, crystal, tau_max):
+        from macrohom.gain import omega_max_for
+
+        with pytest.raises(ValidationError, match="quadrature nodes"):
+            required_nodes(omega_max_for(crystal, PUMP), tau_max)
 
 
 class TestTraceType:
