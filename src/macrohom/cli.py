@@ -20,7 +20,7 @@ import numpy as np
 from . import montecarlo, trace
 from .config import RunConfig
 from .errors import NumericalError, ValidationError
-from .gain import calibrate_walkoff, fit_gain_curve, spectral_fwhm_nm
+from .gain import fit_gain_curve, spectral_fwhm_nm
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -48,19 +48,18 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir, command, config: RunConfig, resolved_extra, summary, outputs):
+def _write_manifest(out_dir, command, config: RunConfig, resolved, summary, csv_path):
     manifest = {
         "command": command,
         "config": config.resolved(),
-        "resolved": resolved_extra,
+        "resolved": resolved,
         "summary": summary,
-        "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
+        "outputs": {os.path.basename(csv_path): _sha256(csv_path)},
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
 def _resolved_params(crystal, pump, det=None):
@@ -83,7 +82,7 @@ def _resolved_params(crystal, pump, det=None):
     return out
 
 
-def cmd_trace(config: RunConfig, out_dir: str, args) -> int:
+def cmd_trace(config: RunConfig, args):
     pump = config.pump()
     crystal = config.crystal()
     det = config.detection()
@@ -92,34 +91,30 @@ def cmd_trace(config: RunConfig, out_dir: str, args) -> int:
 
     nrf, ped = trace.nrf_and_pedestal(tau, crystal, pump, grid)
     detected = trace.detected_trace(nrf, det)
-
-    csv_path = os.path.join(out_dir, "trace.csv")
-    _write_csv(
-        csv_path,
-        ["tau_ps", "nrf_ideal", "nrf_pedestal", "nrf_detected"],
-        zip(tau, nrf.value, ped.value, detected.value),
-    )
     summary = {
         "visibility": trace.visibility(detected),
         "fwhm_narrow_ps": trace.fwhm_narrow(nrf, ped),
         "fwhm_pedestal_ps": trace.fwhm_pedestal(ped),
         "m_long": trace.mode_count_long(nrf, ped),
     }
-    _write_manifest(out_dir, "trace", config, _resolved_params(crystal, pump, det), summary, [csv_path])
-    print(f"trace: visibility={summary['visibility']:.6f} m_long={summary['m_long']:.2f}")
-    return EXIT_OK
+    return (
+        "trace.csv",
+        ["tau_ps", "nrf_ideal", "nrf_pedestal", "nrf_detected"],
+        zip(tau, nrf.value, ped.value, detected.value),
+        _resolved_params(crystal, pump, det),
+        summary,
+        f"trace: visibility={summary['visibility']:.6f} m_long={summary['m_long']:.2f}",
+    )
 
 
-def cmd_g2(config: RunConfig, out_dir: str, args) -> int:
+def cmd_g2(config: RunConfig, args):
     pump = config.pump()
     crystal = config.crystal()
     det = config.detection()
-    tau = config.tau_grid("g2")
+    tau = config.tau_grid("trace")
     grid = trace.default_grid(crystal, pump, float(np.max(np.abs(tau))))
     g2 = trace.g2_trace(tau, crystal, pump, grid, det)
 
-    csv_path = os.path.join(out_dir, "g2.csv")
-    _write_csv(csv_path, ["tau_ps", "g2"], zip(tau, g2.value))
     edge = float(g2.value[0])
     n_mode = math.sinh(pump.g_peak) ** 2
     summary = {
@@ -127,19 +122,22 @@ def cmd_g2(config: RunConfig, out_dir: str, args) -> int:
         "g2_edge": edge,
         "mode_count_g2": trace.mode_count_g2(edge, n_mode),
     }
-    _write_manifest(out_dir, "g2", config, _resolved_params(crystal, pump, det), summary, [csv_path])
-    print(f"g2: dip visibility={summary['dip_visibility']:.4f} edge={edge:.4f}")
-    return EXIT_OK
+    return (
+        "g2.csv",
+        ["tau_ps", "g2"],
+        zip(tau, g2.value),
+        _resolved_params(crystal, pump, det),
+        summary,
+        f"g2: dip visibility={summary['dip_visibility']:.4f} edge={edge:.4f}",
+    )
 
 
-def cmd_sweep_gain(config: RunConfig, out_dir: str, args) -> int:
+def cmd_sweep_gain(config: RunConfig, args):
     pump = config.pump()
     crystal = config.crystal()
     gains = config.sweep_gains()
     tau_max, tau_step = config.delay_range("sweep")
     rows = trace.fwhm_vs_gain(gains, crystal, pump, tau_max=tau_max, tau_step=tau_step)
-    csv_path = os.path.join(out_dir, "sweep_gain.csv")
-    _write_csv(csv_path, ["g", "fwhm_ps"], rows)
 
     widths = {g: w for g, w in rows}
     summary = {}
@@ -149,12 +147,11 @@ def cmd_sweep_gain(config: RunConfig, out_dir: str, args) -> int:
     summary["monotone_nonincreasing"] = bool(
         all(b <= a * (1 + 1e-9) for a, b in zip(ordered, ordered[1:]))
     )
-    _write_manifest(out_dir, "sweep-gain", config, _resolved_params(crystal, pump), summary, [csv_path])
     if "fwhm_ratio_7p5_over_5p5" in summary:
-        print(f"sweep-gain: ratio={summary['fwhm_ratio_7p5_over_5p5']:.4f}")
+        line = f"sweep-gain: ratio={summary['fwhm_ratio_7p5_over_5p5']:.4f}"
     else:
-        print("sweep-gain: done")
-    return EXIT_OK
+        line = "sweep-gain: done"
+    return "sweep_gain.csv", ["g", "fwhm_ps"], rows, _resolved_params(crystal, pump), summary, line
 
 
 def _read_fit_csv(path):
@@ -179,45 +176,41 @@ def _read_fit_csv(path):
     return np.array(powers), np.array(intens)
 
 
-def cmd_fit_gain(config: RunConfig, out_dir: str, args) -> int:
+def cmd_fit_gain(config: RunConfig, args):
     path = config.fit_data_path()
     powers, intens = _read_fit_csv(path)
     c, scale = fit_gain_curve(powers, intens)
     fitted = scale * np.sinh(c * np.sqrt(powers)) ** 2
-    csv_path = os.path.join(out_dir, "fit_gain_residuals.csv")
-    _write_csv(
-        csv_path,
-        ["power_mw", "intensity", "fitted", "residual"],
-        zip(powers, intens, fitted, intens - fitted),
-    )
     summary = {
         "c_per_sqrt_mw": c,
         "scale": scale,
         "gain_at_max_power": c * math.sqrt(float(np.max(powers))),
     }
-    _write_manifest(out_dir, "fit-gain", config, {"fit": {"data": path}}, summary, [csv_path])
-    print(f"fit-gain: c={c:.6g} scale={scale:.6g}")
-    return EXIT_OK
+    return (
+        "fit_gain_residuals.csv",
+        ["power_mw", "intensity", "fitted", "residual"],
+        zip(powers, intens, fitted, intens - fitted),
+        {"fit": {"data": path}},
+        summary,
+        f"fit-gain: c={c:.6g} scale={scale:.6g}",
+    )
 
 
-def cmd_calibrate(config: RunConfig, out_dir: str, args) -> int:
+def cmd_calibrate(config: RunConfig, args):
     pump = config.pump()
-    target, length = config.calibration_target()
-    crystal = calibrate_walkoff(target, pump, length_mm=length)
+    crystal = config.calibrated_crystal()
     achieved = spectral_fwhm_nm(crystal, pump)
-    csv_path = os.path.join(out_dir, "calibration.csv")
-    _write_csv(
-        csv_path,
+    return (
+        "calibration.csv",
         ["walkoff_ps_per_mm", "achieved_fwhm_nm"],
         [(crystal.walkoff_slope, achieved)],
+        _resolved_params(crystal, pump),
+        {"walkoff_ps_per_mm": crystal.walkoff_slope, "achieved_fwhm_nm": achieved},
+        f"calibrate: walkoff={crystal.walkoff_slope:.6g} ps/mm fwhm={achieved:.4f} nm",
     )
-    summary = {"walkoff_ps_per_mm": crystal.walkoff_slope, "achieved_fwhm_nm": achieved}
-    _write_manifest(out_dir, "calibrate", config, _resolved_params(crystal, pump), summary, [csv_path])
-    print(f"calibrate: walkoff={crystal.walkoff_slope:.6g} ps/mm fwhm={achieved:.4f} nm")
-    return EXIT_OK
 
 
-def cmd_mc(config: RunConfig, out_dir: str, args) -> int:
+def cmd_mc(config: RunConfig, args):
     pump = config.pump()
     crystal = config.crystal()
     det = config.detection()
@@ -226,15 +219,6 @@ def cmd_mc(config: RunConfig, out_dir: str, args) -> int:
     seed = args.seed if args.seed is not None else config.mc_seed()
     stats = montecarlo.dip_scan(crystal, pump, det, lattice, taus, seed, threads=args.threads)
 
-    csv_path = os.path.join(out_dir, "mc.csv")
-    _write_csv(
-        csv_path,
-        ["tau_ps", "nrf_hat", "se_nrf", "g2_hat", "se_g2"],
-        [
-            (tau, st.nrf_hat, st.se_nrf, st.g2_hat, st.se_g2)
-            for tau, st in zip(taus, stats)
-        ],
-    )
     resolved = _resolved_params(crystal, pump, det)
     resolved["lattice"] = {
         "n_time_slices": lattice.n_time_slices,
@@ -247,11 +231,19 @@ def cmd_mc(config: RunConfig, out_dir: str, args) -> int:
         "n_pulses": det.n_pulses,
         "wigner_cell_occupancy": montecarlo.wigner_cell_occupancy(crystal, pump, lattice),
     }
-    _write_manifest(out_dir, "mc", config, resolved, summary, [csv_path])
-    print(f"mc: {len(taus)} delay points x {det.n_pulses} pulses, seed={seed}")
-    return EXIT_OK
+    return (
+        "mc.csv",
+        ["tau_ps", "nrf_hat", "se_nrf", "g2_hat", "se_g2"],
+        [(tau, st.nrf_hat, st.se_nrf, st.g2_hat, st.se_g2) for tau, st in zip(taus, stats)],
+        resolved,
+        summary,
+        f"mc: {len(taus)} delay points x {det.n_pulses} pulses, seed={seed}",
+    )
 
 
+# Each command computes its whole result and returns (csv name, header, rows,
+# resolved parameters, summary, stdout line); main writes them, so a run that
+# fails writes no file.
 _COMMANDS = {
     "trace": cmd_trace,
     "g2": cmd_g2,
@@ -282,8 +274,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = RunConfig.load(args.config)
+        name, header, rows, resolved, summary, line = _COMMANDS[args.command](config, args)
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](config, args.out, args)
+        csv_path = os.path.join(args.out, name)
+        _write_csv(csv_path, header, rows)
+        _write_manifest(args.out, args.command, config, resolved, summary, csv_path)
+        print(line)
+        return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

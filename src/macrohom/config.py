@@ -37,10 +37,6 @@ _DEFAULTS = {
         "tau_max_ps": "80.0",
         "tau_step_ps": "0.05",
     },
-    "g2": {
-        "tau_max_ps": "80.0",
-        "tau_step_ps": "0.05",
-    },
     "sweep": {
         "g_values": "5.5,5.7,5.9,6.1,6.3,6.5,6.7,6.9,7.1,7.3,7.5",
         "tau_max_ps": "6.0",
@@ -48,10 +44,6 @@ _DEFAULTS = {
     },
     "fit": {
         "data": "",
-    },
-    "calibrate": {
-        "target_fwhm_nm": "1.3",
-        "length_mm": "10.0",
     },
     "mc": {
         "tau_points": "0.0,0.5,1.0,1.5,2.5,4.0,6.0,10.0,16.0,28.0,45.0",
@@ -125,17 +117,23 @@ class RunConfig:
 
     def crystal(self) -> CrystalParams:
         sec = self.raw["crystal"]
-        length = _parse_float("crystal", "length_mm", sec["length_mm"])
         walkoff = sec["walkoff_ps_per_mm"].strip()
         if walkoff == "auto":
-            target = _parse_float(
-                "crystal", "calibration_fwhm_nm", sec["calibration_fwhm_nm"]
-            )
-            return calibrate_walkoff(target, self.pump(), length_mm=length)
+            return self.calibrated_crystal()
         return CrystalParams(
-            length_mm=length,
+            length_mm=_parse_float("crystal", "length_mm", sec["length_mm"]),
             walkoff_slope=_parse_float("crystal", "walkoff_ps_per_mm", walkoff),
         )
+
+    def calibrated_crystal(self) -> CrystalParams:
+        """Crystal whose walk-off slope gives ``calibration_fwhm_nm`` at
+        ``length_mm``."""
+        sec = self.raw["crystal"]
+        length = _parse_float("crystal", "length_mm", sec["length_mm"])
+        target = _parse_float("crystal", "calibration_fwhm_nm", sec["calibration_fwhm_nm"])
+        if not (math.isfinite(target) and math.isfinite(length)):
+            raise ValidationError("[crystal] calibration_fwhm_nm and length_mm must be finite")
+        return calibrate_walkoff(target, self.pump(), length_mm=length)
 
     def detection(self) -> DetectionModel:
         sec = self.raw["detection"]
@@ -189,14 +187,6 @@ class RunConfig:
         if not path:
             raise ValidationError("[fit] data: path to a power/intensity CSV required")
         return path
-
-    def calibration_target(self):
-        sec = self.raw["calibrate"]
-        target = _parse_float("calibrate", "target_fwhm_nm", sec["target_fwhm_nm"])
-        length = _parse_float("calibrate", "length_mm", sec["length_mm"])
-        if not (math.isfinite(target) and math.isfinite(length)):
-            raise ValidationError("[calibrate] target_fwhm_nm and length_mm must be finite")
-        return target, length
 
     def resolved(self) -> dict:
         """Flat copy of every parameter for the run manifest."""

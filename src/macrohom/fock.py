@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import TruncationError, ValidationError
 
@@ -93,12 +92,6 @@ def tmsv(g: float, n_max: int | None = None) -> TmsvState:
             f"truncated norm {state.norm_squared()} below 1 - {_NORM_SLACK}"
         )
     return state
-
-
-@lru_cache(maxsize=None)
-def _lgamma_table(n: int) -> np.ndarray:
-    """lf[k] = ln(k!) for k = 0..n."""
-    return gammaln(np.arange(n + 1, dtype=float) + 1.0)
 
 
 @lru_cache(maxsize=None)

@@ -115,8 +115,8 @@ def spectrum(grid: SpectralGrid, crystal: CrystalParams, pump: PumpParams):
     return v * v
 
 
-def omega_max_for(crystal: CrystalParams, pump: PumpParams, cutoff: float = TAIL_CUTOFF) -> float:
-    """Detuning beyond which the spectrum is below ``cutoff`` of its peak.
+def omega_max_for(crystal: CrystalParams, pump: PumpParams) -> float:
+    """Detuning beyond which the spectrum is below ``TAIL_CUTOFF`` of its peak.
 
     Uses the monotone envelope bound |v|^2 <= G^2/(x^2 - G^2) valid past
     the gain band, so the returned value is a rigorous tail cutoff.
@@ -128,7 +128,7 @@ def omega_max_for(crystal: CrystalParams, pump: PumpParams, cutoff: float = TAIL
     if dl <= 0:
         raise ValidationError("walkoff_slope * length must be > 0 to size a grid")
     n_peak = math.sinh(g) ** 2
-    x_max = g * math.sqrt(1.0 + 1.0 / (cutoff * n_peak))
+    x_max = g * math.sqrt(1.0 + 1.0 / (TAIL_CUTOFF * n_peak))
     return 2.0 * x_max / dl
 
 

@@ -65,6 +65,7 @@ from .params import C_NM_PER_PS, CrystalParams, DetectionModel, PumpParams, Spec
 _CHUNK = 256  # pulses per RNG stream; fixed so reruns are bit-identical
 _N_NORMALS = 28  # real normals per cluster: 14 complex vacuum inputs
 _BLOCK = 16384  # clusters per arithmetic block, sized to stay in cache
+_QUAD_PER_BIN = 64  # Gauss-Legendre nodes per lattice bin in expected_stats
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ class LatticeSpec:
         cls,
         crystal: CrystalParams,
         pump: PumpParams,
-        n_freq_bins: int = 64,
+        n_freq_bins: int,
     ) -> "LatticeSpec":
         """Reference-configuration lattice: slice = one coherence time, bins
         tiling the spectrum up to the tail cutoff, window >= 6 sigma."""
@@ -143,6 +144,8 @@ class EnsembleStats:
 
 def derive_seed(seed: int, index: int) -> int:
     """Deterministic child seed for scan point ``index``."""
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     return int(np.random.SeedSequence([int(seed), int(index)]).generate_state(1, np.uint64)[0])
 
 
@@ -384,7 +387,6 @@ def expected_stats(
     det: DetectionModel,
     lattice: LatticeSpec,
     tau: float,
-    quad_per_bin: int = 64,
 ):
     """Exact Wick moments of the sampled ensemble at delay ``tau``.
 
@@ -399,7 +401,7 @@ def expected_stats(
     """
     k = lattice.n_freq_bins
     dw = lattice.bin_width
-    x_gl, w_gl = np.polynomial.legendre.leggauss(quad_per_bin)
+    x_gl, w_gl = np.polynomial.legendre.leggauss(_QUAD_PER_BIN)
     # nodes within each bin, weights normalized to a probability density
     centers = (np.arange(k) + 0.5) * dw
     omega = centers[:, None] + 0.5 * dw * x_gl[None, :]  # (k, q)

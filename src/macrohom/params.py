@@ -22,6 +22,9 @@ C_NM_PER_PS = 299_792.458
 # largest peak gain whose photon number sinh^2(gain) is a finite float
 _MAX_GAIN = math.asinh(math.sqrt(sys.float_info.max))
 
+# Gauss-Legendre nodes per panel of a composite spectral grid
+_GL_ORDER = 16
+
 
 def _require_finite(record):
     """Reject NaN and infinite values in every float field of a record;
@@ -158,14 +161,14 @@ class SpectralGrid:
         return float(self.omega[-1])
 
     @classmethod
-    def gauss_legendre(cls, omega_max: float, n: int, order: int = 16) -> "SpectralGrid":
+    def gauss_legendre(cls, omega_max: float, n: int) -> "SpectralGrid":
         """Composite Gauss-Legendre rule on [0, omega_max] with >= n nodes."""
         if not (omega_max > 0):
             raise ValidationError("omega_max must be > 0")
         if n < 1:
             raise ValidationError("node count must be >= 1")
-        panels = max(1, -(-n // order))
-        x, w = np.polynomial.legendre.leggauss(order)
+        panels = max(1, -(-n // _GL_ORDER))
+        x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
         edges = np.linspace(0.0, omega_max, panels + 1)
         half = 0.5 * (edges[1:] - edges[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from macrohom.cli import main
+from macrohom.gain import calibrate_walkoff
+from macrohom.params import PumpParams
 
 FAST_TRACE = """
 [trace]
@@ -15,7 +17,7 @@ tau_step_ps = 0.1
 """
 
 FAST_G2 = """
-[g2]
+[trace]
 tau_max_ps = 60.0
 tau_step_ps = 0.1
 """
@@ -180,7 +182,7 @@ class TestCalibrateCommand:
             out = tmp_path / f"t{target}"
             out.mkdir()
             cfg = tmp_path / f"c{target}.ini"
-            cfg.write_text(f"[calibrate]\ntarget_fwhm_nm = {target}\n")
+            cfg.write_text(f"[crystal]\ncalibration_fwhm_nm = {target}\n")
             assert main(["calibrate", "--config", str(cfg), "--out", str(out)]) == 0
             with open(out / "manifest.json") as fh:
                 slopes.append(json.load(fh)["summary"]["walkoff_ps_per_mm"])
@@ -188,6 +190,18 @@ class TestCalibrateCommand:
 
     def test_zero_gain_rejected(self, tmp_path):
         assert run(tmp_path, "calibrate", "[pump]\ngain = 0.0\n") == 2
+
+    def test_reads_crystal_section(self, tmp_path):
+        cfg = "[crystal]\nlength_mm = 5.0\ncalibration_fwhm_nm = 2.0\n"
+        assert run(tmp_path, "calibrate", cfg) == 0
+        expected = calibrate_walkoff(2.0, PumpParams(g_peak=7.5, t_p=18.0), length_mm=5.0)
+        manifest = read_manifest(tmp_path)
+        assert manifest["summary"]["walkoff_ps_per_mm"] == expected.walkoff_slope
+        assert manifest["resolved"]["crystal"]["length_mm"] == 5.0
+
+    def test_old_section_rejected(self, tmp_path, capsys):
+        assert run(tmp_path, "calibrate", "[calibrate]\ntarget_fwhm_nm = 1.3\n") == 2
+        assert "unknown config section [calibrate]" in capsys.readouterr().err
 
 
 MC_FAST = """
@@ -260,11 +274,15 @@ class TestNonFiniteInputs:
             ("trace", "[trace]\ntau_max_ps = 1e300\n", "points per side"),
             ("sweep-gain", "[sweep]\ntau_max_ps = 1e300\n", "points per side"),
             ("trace", "[trace]\ntau_step_ps = 1e-300\n", "points per side"),
-            ("g2", "[g2]\ntau_max_ps = 3000\ntau_step_ps = 1.0\n", "quadrature nodes"),
+            ("g2", "[trace]\ntau_max_ps = 3000\ntau_step_ps = 1.0\n", "quadrature nodes"),
+            ("calibrate", "[crystal]\ncalibration_fwhm_nm = inf\n", "must be finite"),
+            ("mc --seed -1", "[detection]\npulses = 4\n", "seed must be a non-negative"),
+            ("mc", "[detection]\npulses = 4\n[mc]\nseed = -5\n", "seed must be a non-negative"),
         ],
     )
     def test_rejected_with_message(self, tmp_path, capsys, command, config_text, message):
-        assert run(tmp_path, command, config_text) == 2
+        command, *extra = command.split()
+        assert run(tmp_path, command, config_text, extra) == 2
         assert message in capsys.readouterr().err
 
 
@@ -282,7 +300,7 @@ class TestExitCodes:
         import macrohom.cli as cli
         from macrohom.errors import BracketingError
 
-        def boom(config, out_dir, args):
+        def boom(config, args):
             raise BracketingError("no sign change")
 
         monkeypatch.setitem(cli._COMMANDS, "calibrate", boom)
@@ -292,6 +310,12 @@ class TestExitCodes:
         # sinh^4 G overflows the interference weight at this gain
         assert run(tmp_path, "g2", FAST_G2 + "\n[pump]\ngain = 300\n") == 3
         assert "non-finite" in capsys.readouterr().err
+
+    def test_failed_run_writes_no_files(self, tmp_path, capsys):
+        cfg = "[trace]\ntau_max_ps = 0.5\ntau_step_ps = 0.05\n"
+        assert run(tmp_path, "trace", cfg) == 3
+        assert "half-maximum crossing" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.ini"]
 
     def test_io_failure_maps_to_4(self, tmp_path):
         target = tmp_path / "blocked"

@@ -17,13 +17,13 @@ ACCESSORS = [
     ("pump",),
     ("crystal",),
     ("detection",),
-    *[(name, sec) for name in ("delay_range", "tau_grid") for sec in ("trace", "g2", "sweep")],
+    *[(name, sec) for name in ("delay_range", "tau_grid") for sec in ("trace", "sweep")],
     ("sweep_gains",),
     ("mc_tau_points",),
     ("mc_seed",),
     ("mc_freq_bins",),
     ("fit_data_path",),
-    ("calibration_target",),
+    ("calibrated_crystal",),
 ]
 
 SPECIAL = ["nan", "-nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "-1e-300", "0", "",
