@@ -18,7 +18,6 @@ from .errors import (
 from .fock import TmsvState, hom_stats, nrf_single_mode, tmsv
 from .gain import (
     calibrate_walkoff,
-    delta,
     fit_gain_curve,
     gain_at,
     omega_max_for,

@@ -82,20 +82,26 @@ def _resolved_params(crystal, pump, det=None):
     return out
 
 
-def cmd_trace(config: RunConfig, args):
+def _trace_setup(config: RunConfig):
+    """Pump, crystal, detection, ``[trace]`` delays and their spectral grid."""
     pump = config.pump()
     crystal = config.crystal()
     det = config.detection()
-    tau = config.tau_grid("trace")
+    tau = config.tau_grid()
     grid = trace.default_grid(crystal, pump, float(np.max(np.abs(tau))))
+    return pump, crystal, det, tau, grid
 
+
+def cmd_trace(config: RunConfig, args):
+    pump, crystal, det, tau, grid = _trace_setup(config)
     nrf, ped = trace.nrf_and_pedestal(tau, crystal, pump, grid)
     detected = trace.detected_trace(nrf, det)
+    narrow, wide = trace.fwhm_narrow(nrf, ped), trace.fwhm_pedestal(ped)
     summary = {
         "visibility": trace.visibility(detected),
-        "fwhm_narrow_ps": trace.fwhm_narrow(nrf, ped),
-        "fwhm_pedestal_ps": trace.fwhm_pedestal(ped),
-        "m_long": trace.mode_count_long(nrf, ped),
+        "fwhm_narrow_ps": narrow,
+        "fwhm_pedestal_ps": wide,
+        "m_long": wide / narrow,  # trace.mode_count_long, widths not recomputed
     }
     return (
         "trace.csv",
@@ -108,11 +114,7 @@ def cmd_trace(config: RunConfig, args):
 
 
 def cmd_g2(config: RunConfig, args):
-    pump = config.pump()
-    crystal = config.crystal()
-    det = config.detection()
-    tau = config.tau_grid("trace")
-    grid = trace.default_grid(crystal, pump, float(np.max(np.abs(tau))))
+    pump, crystal, det, tau, grid = _trace_setup(config)
     g2 = trace.g2_trace(tau, crystal, pump, grid, det)
 
     edge = float(g2.value[0])

@@ -158,10 +158,10 @@ class RunConfig:
             raise ValidationError(f"[{section}] delay grid must have positive extent")
         return tau_max, step
 
-    def tau_grid(self, section: str):
-        tau = delay_grid(*self.delay_range(section))
+    def tau_grid(self):
+        tau = delay_grid(*self.delay_range("trace"))
         if tau.size < 3:
-            raise ValidationError(f"[{section}] delay grid is empty")
+            raise ValidationError("[trace] delay grid is empty")
         return tau
 
     def sweep_gains(self):

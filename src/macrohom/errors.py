@@ -30,11 +30,4 @@ class BracketingError(NumericalError):
 
 
 class FitError(NumericalError):
-    """Nonlinear fit failed to converge.
-
-    Carries the last residual norm, when available, in ``residual``.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """Nonlinear fit failed to converge."""

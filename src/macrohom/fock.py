@@ -36,7 +36,6 @@ class TmsvState:
     """Two-mode squeezed vacuum on the |n,n> ladder, truncated at n_max."""
 
     amplitudes: np.ndarray
-    g: float
     n_max: int
 
     def mean_photon(self) -> float:
@@ -86,7 +85,7 @@ def tmsv(g: float, n_max: int | None = None) -> TmsvState:
         )
     n = np.arange(n_max + 1)
     amps = th**n / math.cosh(g)
-    state = TmsvState(amplitudes=amps, g=float(g), n_max=int(n_max))
+    state = TmsvState(amplitudes=amps, n_max=int(n_max))
     if state.norm_squared() < 1.0 - _NORM_SLACK:
         raise TruncationError(
             f"truncated norm {state.norm_squared()} below 1 - {_NORM_SLACK}"

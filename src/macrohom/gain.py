@@ -31,11 +31,6 @@ _SERIES_CUTOFF = 1e-6
 TAIL_CUTOFF = 1e-6
 
 
-def delta(omega, crystal: CrystalParams):
-    """Phase mismatch (rad/mm) at detuning omega (rad/ps); odd in omega."""
-    return crystal.walkoff_slope * np.asarray(omega, dtype=float)
-
-
 def gain_at(t, pump: PumpParams):
     """Parametric gain G(t) following the Gaussian pump field envelope.
 
@@ -78,8 +73,8 @@ def _sinc_branch(z):
 
 
 def _half_angle(omega, crystal: CrystalParams):
-    """Phase-mismatch half-angle x = walkoff_slope * omega * length / 2."""
-    return 0.5 * delta(omega, crystal) * crystal.length_mm
+    """Phase-mismatch half-angle x = walkoff_slope * omega * length / 2, odd in omega."""
+    return 0.5 * (crystal.walkoff_slope * np.asarray(omega, dtype=float)) * crystal.length_mm
 
 
 def _v_abs(g, x):
@@ -244,7 +239,6 @@ def fit_gain_curve(powers, intensities):
             maxfev=20_000,
         )
     except RuntimeError as exc:
-        resid = float(np.sum((_sinh2_model(p, c0, scale0) - y) ** 2))
-        raise FitError(f"gain-curve fit did not converge: {exc}", residual=resid)
+        raise FitError(f"gain-curve fit did not converge: {exc}")
     c, scale = float(popt[0]), float(popt[1])
     return c, scale

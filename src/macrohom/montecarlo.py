@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .gain import _bogoliubov, _half_angle, _v_abs, gain_at, omega_max_for, spectral_fwhm_nm, spectrum
 from .params import C_NM_PER_PS, CrystalParams, DetectionModel, PumpParams, SpectralGrid
 
@@ -66,6 +66,10 @@ _CHUNK = 256  # pulses per RNG stream; fixed so reruns are bit-identical
 _N_NORMALS = 28  # real normals per cluster: 14 complex vacuum inputs
 _BLOCK = 16384  # clusters per arithmetic block, sized to stay in cache
 _QUAD_PER_BIN = 64  # Gauss-Legendre nodes per lattice bin in expected_stats
+_PER_PULSE = 9  # float64 per pulse: s1, s2 and the jackknife temporaries
+# cap on an ensemble's estimated float64 working set, 2^27 values (1 GiB):
+# about 34x the reference run of 30 000 pulses, 10 modes and 48 bins
+_MAX_FLOATS = 2**27
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,6 @@ class EnsembleStats:
     se_nrf: float
     se_g2: float
     n_pulses: int
-    degenerate: bool = False
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -174,30 +177,6 @@ def _pair_coefficients(omega, tau: float, crystal: CrystalParams, pump: PumpPara
         uc = np.where(abs_mu > 0, mu_c / np.where(abs_mu > 0, vc, 1.0), 0.0)
     tc = np.sqrt(np.maximum(2.0 * n + 1.0 - 2.0 * abs_mu, 0.0))
     return u0, v0, r, uc, vc, tc
-
-
-def _chunk_signals(omega, tau, crystal, pump, eta, rng, buffer):
-    """Sample one chunk of pulses; return per-pulse (S1 + S2, S1 - S2).
-
-    ``omega`` holds the (pulse, cluster) detunings.  Each cluster draws
-    14 complex vacuum inputs as 28 real unit normals, all in one block
-    per chunk, written into ``buffer``: one allocation per ensemble, since
-    freeing and re-allocating the tens-of-MB block every chunk fragments
-    the heap and can raise peak memory by a block.  The optics then runs
-    over blocks of pulses small enough to stay in cache.
-    """
-    normals = buffer[: _N_NORMALS * omega.size].reshape((_N_NORMALS,) + omega.shape)
-    rng.standard_normal(out=normals)
-    npc = omega.shape[0]
-    step = max(1, _BLOCK // omega.shape[1])
-    total = np.empty(npc)
-    diff = np.empty(npc)
-    for lo in range(0, npc, step):
-        rows = slice(lo, lo + step)
-        total[rows], diff[rows] = _block_signals(
-            omega[rows], normals[:, rows], tau, crystal, pump, eta
-        )
-    return total, diff
 
 
 def _block_signals(omega, normals, tau, crystal, pump, eta):
@@ -276,13 +255,25 @@ def simulate_ensemble(
     n_pulses = det.n_pulses
     m = det.m_modes
     k = lattice.n_freq_bins
+    # normals, jitter and detunings per chunk, plus the per-pulse arrays
+    floats = (_N_NORMALS + 2) * min(_CHUNK, n_pulses) * m * k + _PER_PULSE * n_pulses
+    if floats > _MAX_FLOATS:
+        raise ValidationError(
+            f"an ensemble of {n_pulses} pulses x {m * k} clusters needs about "
+            f"{floats:.3g} float64 values, above the cap of {_MAX_FLOATS}"
+        )
+    if n_pulses < 3:  # the delete-one jackknife of a variance divides by n - 2
+        raise ValidationError(f"need at least 3 pulses per ensemble, got {n_pulses}")
     dw = lattice.bin_width
     bins = np.arange(k, dtype=float)
 
     s1 = np.empty(n_pulses)
     s2 = np.empty(n_pulses)
     noise_amp = math.sqrt(det.noise_var)
+    # one normals buffer per ensemble: re-allocating the tens-of-MB block
+    # every chunk fragments the heap and can raise peak memory by a block
     buffer = np.empty(_N_NORMALS * min(_CHUNK, n_pulses) * m * k)
+    step = max(1, _BLOCK // (m * k))
 
     for chunk_idx, lo in enumerate(range(0, n_pulses, _CHUNK)):
         hi = min(lo + _CHUNK, n_pulses)
@@ -292,12 +283,19 @@ def simulate_ensemble(
         )
         jitter = rng.random((npc, m, k))
         omega = ((bins + jitter) * dw).reshape(npc, m * k)
-        total, diff = _chunk_signals(omega, tau, crystal, pump, det.eta, rng, buffer)
-        s1[lo:hi] = 0.5 * (total + diff)
-        s2[lo:hi] = 0.5 * (total - diff)
+        normals = buffer[: _N_NORMALS * omega.size].reshape((_N_NORMALS,) + omega.shape)
+        rng.standard_normal(out=normals)
+        c1, c2 = s1[lo:hi], s2[lo:hi]
+        for r in range(0, npc, step):
+            rows = slice(r, r + step)
+            total, diff = _block_signals(
+                omega[rows], normals[:, rows], tau, crystal, pump, det.eta
+            )
+            c1[rows] = 0.5 * (total + diff)
+            c2[rows] = 0.5 * (total - diff)
         if noise_amp > 0:
-            s1[lo:hi] += noise_amp * rng.standard_normal(npc)
-            s2[lo:hi] += noise_amp * rng.standard_normal(npc)
+            c1 += noise_amp * rng.standard_normal(npc)
+            c2 += noise_amp * rng.standard_normal(npc)
 
     return _estimate(s1, s2)
 
@@ -306,22 +304,11 @@ def _estimate(s1, s2) -> EnsembleStats:
     n = s1.size
     mean1 = float(np.mean(s1))
     mean2 = float(np.mean(s2))
-    denom = mean1 + mean2
-    d = s1 - s2
-
-    if not (denom > 0) or not (mean1 > 0 and mean2 > 0):
-        # vacuum input (or noise-dominated zero mean): shot-noise ratio is
-        # 0/0; report the physical limit and flag it
-        return EnsembleStats(
-            mean_s1=mean1,
-            mean_s2=mean2,
-            nrf_hat=1.0,
-            g2_hat=float("nan"),
-            se_nrf=float("nan"),
-            se_g2=float("nan"),
-            n_pulses=n,
-            degenerate=True,
+    if not (mean1 > 0 and mean2 > 0):
+        raise NumericalError(
+            f"ensemble mean signals must be > 0 to normalize, got {mean1} and {mean2}"
         )
+    d = s1 - s2
 
     sum_d = float(np.sum(d))
     sum_d2 = float(np.sum(d * d))
@@ -370,15 +357,17 @@ def dip_scan(
     release the GIL); each delay keeps its own seed, so the results are
     identical for every thread count.
     """
+    if threads < 1:
+        raise ValidationError(f"thread count must be >= 1, got {threads}")
     taus = [float(tau) for tau in np.asarray(tau_grid, dtype=float)]
 
     def point(idx):
         return simulate_ensemble(crystal, pump, det, lattice, taus[idx], derive_seed(seed, idx))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(point, range(len(taus))))
-    return [point(idx) for idx in range(len(taus))]
+    if threads == 1:  # in the caller: a pool thread's own malloc arena adds peak memory
+        return [point(idx) for idx in range(len(taus))]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(point, range(len(taus))))
 
 
 def expected_stats(

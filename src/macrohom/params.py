@@ -167,7 +167,7 @@ class SpectralGrid:
             raise ValidationError("omega_max must be > 0")
         if n < 1:
             raise ValidationError("node count must be >= 1")
-        panels = max(1, -(-n // _GL_ORDER))
+        panels = -(-n // _GL_ORDER)
         x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
         edges = np.linspace(0.0, omega_max, panels + 1)
         half = 0.5 * (edges[1:] - edges[:-1])

@@ -35,7 +35,7 @@ and multimode detection over m modes reduces it to 1 + (g2_single - 1)/m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,7 +124,7 @@ def default_grid(crystal: CrystalParams, pump: PumpParams, tau_max: float) -> Sp
 def _check_resolution(grid: SpectralGrid, tau):
     # 8 samples per period of exp(2 i w tau) across the integration span;
     # a single-node grid has no span and nothing to alias
-    tau_max = float(np.max(np.abs(tau))) if len(tau) else 0.0
+    tau_max = float(np.max(np.abs(tau)))
     span = grid.omega_max - float(grid.omega[0])
     needed = 8.0 * span * tau_max / math.pi
     if len(grid) < needed:
@@ -225,8 +225,6 @@ def g2_trace(
 
 def visibility(trace: Trace) -> float:
     """(max - min)/(max + min) over the sampled values."""
-    if len(trace) == 0:
-        raise ValidationError("empty trace")
     hi = float(np.max(trace.value))
     lo = float(np.min(trace.value))
     if hi + lo <= 0:
@@ -242,22 +240,20 @@ def _fwhm(tau, comp) -> float:
     if not (peak > 0):
         raise ValidationError("component has no positive maximum")
     half = 0.5 * peak
-
-    j = i_max
-    while j > 0 and comp[j - 1] >= half:
-        j -= 1
-    if j == 0 and comp[0] >= half:
+    # the nearest sample on each side of the peak that is not >= half (NaN
+    # included) bounds the crossing interval [i, i + 1] on that side
+    below = ~(comp >= half)
+    left = np.flatnonzero(below[:i_max])
+    right = np.flatnonzero(below[i_max:])
+    if left.size == 0:
         raise BracketingError("left half-maximum crossing not inside the tau grid")
-    left = tau[j - 1] + (half - comp[j - 1]) * (tau[j] - tau[j - 1]) / (comp[j] - comp[j - 1])
-
-    j = i_max
-    n = len(comp)
-    while j < n - 1 and comp[j + 1] >= half:
-        j += 1
-    if j == n - 1 and comp[n - 1] >= half:
+    if right.size == 0:
         raise BracketingError("right half-maximum crossing not inside the tau grid")
-    right = tau[j] + (half - comp[j]) * (tau[j + 1] - tau[j]) / (comp[j + 1] - comp[j])
-    return float(right - left)
+
+    def cross(i):
+        return tau[i] + (half - comp[i]) * (tau[i + 1] - tau[i]) / (comp[i + 1] - comp[i])
+
+    return float(cross(i_max + right[0] - 1) - cross(left[-1]))
 
 
 def _require_shared_grid(a: Trace, b: Trace):
@@ -312,12 +308,7 @@ def fwhm_vs_gain(
     tau = delay_grid(tau_max, tau_step)
     rows = []
     for g in g_values:
-        pump = PumpParams(
-            g_peak=g,
-            t_p=pump_template.t_p,
-            lambda_deg=pump_template.lambda_deg,
-            lambda_pump=pump_template.lambda_pump,
-        )
+        pump = replace(pump_template, g_peak=g)
         grid = default_grid(crystal, pump, tau_max)
         nrf, ped = nrf_and_pedestal(tau, crystal, pump, grid)
         rows.append((g, fwhm_narrow(nrf, ped)))

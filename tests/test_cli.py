@@ -90,7 +90,7 @@ class TestTraceCommand:
 
         config = RunConfig.load(str(tmp_path / "run.ini"))
         pump, crystal = config.pump(), config.crystal()
-        tau = config.tau_grid("trace")
+        tau = config.tau_grid()
         grid = default_grid(crystal, pump, float(np.max(np.abs(tau))))
         reference = nrf_trace(tau, crystal, pump, grid)
         _, rows = read_csv(tmp_path / "trace.csv")
@@ -278,6 +278,20 @@ class TestNonFiniteInputs:
             ("calibrate", "[crystal]\ncalibration_fwhm_nm = inf\n", "must be finite"),
             ("mc --seed -1", "[detection]\npulses = 4\n", "seed must be a non-negative"),
             ("mc", "[detection]\npulses = 4\n[mc]\nseed = -5\n", "seed must be a non-negative"),
+            ("mc --threads 0", "[detection]\npulses = 4\n", "thread count must be >= 1"),
+            ("mc --threads -3", "[detection]\npulses = 4\n", "thread count must be >= 1"),
+            ("mc", "[detection]\npulses = 2\n[mc]\ntau_points = 0.0,45.0\n", "at least 3 pulses"),
+            # ensembles too large to sample are refused from their size estimate
+            (
+                "mc",
+                "[detection]\nmodes = 1000000\npulses = 2\n[mc]\nn_freq_bins = 1000000\n",
+                "above the cap of 134217728",
+            ),
+            (
+                "mc",
+                "[detection]\nmodes = 1\npulses = 100000000000\n[mc]\nn_freq_bins = 1\n",
+                "above the cap of 134217728",
+            ),
         ],
     )
     def test_rejected_with_message(self, tmp_path, capsys, command, config_text, message):
@@ -315,6 +329,14 @@ class TestExitCodes:
         cfg = "[trace]\ntau_max_ps = 0.5\ntau_step_ps = 0.05\n"
         assert run(tmp_path, "trace", cfg) == 3
         assert "half-maximum crossing" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.ini"]
+
+    def test_undefined_ensemble_ratio_maps_to_3(self, tmp_path, capsys):
+        # at this seed the electronic noise drives one detector's mean signal
+        # below zero, where nrf and g2 are undefined
+        cfg = "[detection]\nnoise_var = 1e20\npulses = 4\n[mc]\ntau_points = 0.0\n"
+        assert run(tmp_path, "mc", cfg) == 3
+        assert "mean signals must be > 0" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["run.ini"]
 
     def test_io_failure_maps_to_4(self, tmp_path):

@@ -17,7 +17,9 @@ ACCESSORS = [
     ("pump",),
     ("crystal",),
     ("detection",),
-    *[(name, sec) for name in ("delay_range", "tau_grid") for sec in ("trace", "sweep")],
+    ("delay_range", "trace"),
+    ("delay_range", "sweep"),
+    ("tau_grid",),
     ("sweep_gains",),
     ("mc_tau_points",),
     ("mc_seed",),

@@ -5,8 +5,8 @@ import pytest
 
 from macrohom.errors import BracketingError, ValidationError
 from macrohom.gain import (
+    _half_angle,
     calibrate_walkoff,
-    delta,
     fit_gain_curve,
     gain_at,
     omega_max_for,
@@ -35,17 +35,18 @@ def uniform_grid(omega_max, n):
     return SpectralGrid(np.linspace(0.0, omega_max, n), np.ones(n))
 
 
-class TestDelta:
+class TestHalfAngle:
     def test_zero_detuning(self):
-        assert delta(0.0, crystal_with(0.2)) == 0.0
+        assert _half_angle(0.0, crystal_with(0.2)) == 0.0
 
     def test_linear_definition(self):
-        assert delta(1.0, crystal_with(0.2)) == pytest.approx(0.2, rel=1e-15)
+        # x = 0.2 ps/mm * 1 rad/ps * 10 mm / 2
+        assert _half_angle(1.0, crystal_with(0.2)) == pytest.approx(1.0, rel=1e-15)
 
     def test_odd(self):
         omega = np.linspace(-30, 30, 101)
         c = crystal_with(0.37)
-        np.testing.assert_allclose(delta(-omega, c), -delta(omega, c), rtol=0, atol=0)
+        np.testing.assert_allclose(_half_angle(-omega, c), -_half_angle(omega, c), rtol=0, atol=0)
 
 
 class TestGainAt:
@@ -85,7 +86,7 @@ class TestUV:
         c = crystal_with(0.3)
         for omega in (0.5, 2.0, 11.0):
             u, v = uv_at(omega, 0.0, c, pump)
-            phi = 0.5 * delta(omega, c) * c.length_mm
+            phi = float(_half_angle(omega, c))
             assert u == pytest.approx(complex(math.cos(phi), math.sin(phi)), rel=1e-12)
             assert v == 0.0
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from macrohom.errors import ValidationError
+from macrohom.errors import NumericalError, ValidationError
 from macrohom.gain import calibrate_walkoff
 from macrohom.montecarlo import (
     LatticeSpec,
@@ -88,10 +88,8 @@ class TestSimulateEnsemble:
             n_time_slices=400, n_freq_bins=8, slice_duration=0.2, bin_width=0.5
         )
         det = small_det(n_pulses=200)
-        st = simulate_ensemble(crystal, pump, det, lattice, 0.0, seed=3)
-        assert st.degenerate
-        assert st.nrf_hat == 1.0
-        assert math.isnan(st.g2_hat)
+        with pytest.raises(NumericalError, match="mean signals must be > 0"):
+            simulate_ensemble(crystal, pump, det, lattice, 0.0, seed=3)
 
     def test_delay_outside_lattice_window(self, crystal, lattice):
         det = small_det(n_pulses=200)
@@ -170,6 +168,11 @@ class TestDipScan:
         assert dip_scan(crystal, PUMP, det, lattice, taus, 7, threads=2) == dip_scan(
             crystal, PUMP, det, lattice, taus, 7
         )
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_thread_count_below_one(self, crystal, lattice, threads):
+        with pytest.raises(ValidationError, match="thread count must be >= 1"):
+            dip_scan(crystal, PUMP, small_det(n_pulses=4), lattice, [0.0], 7, threads=threads)
 
     def test_g2_dips_at_zero_delay(self, crystal):
         # physical-mode lattice: one cluster per longitudinal mode

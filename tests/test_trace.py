@@ -275,6 +275,56 @@ class TestFwhm:
             fwhm_narrow(nrf, ped)
 
 
+def pedestal_of(comp):
+    """A pedestal trace on integer delays whose elevation is ``comp``."""
+    comp = np.asarray(comp, dtype=float)
+    tau = np.arange(comp.size, dtype=float) - comp.size // 2
+    return Trace(tau=tau, value=1.0 + comp, kind="nrf_pedestal")
+
+
+def two_scan_fwhm(tau, comp):
+    """Reference half-maximum width: walk out from the peak on each side
+    while samples stay >= half, then interpolate the crossing."""
+    i_max = int(np.argmax(comp))
+    half = 0.5 * comp[i_max]
+    j = i_max
+    while j > 0 and comp[j - 1] >= half:
+        j -= 1
+    left = tau[j - 1] + (half - comp[j - 1]) * (tau[j] - tau[j - 1]) / (comp[j] - comp[j - 1])
+    j = i_max
+    while j < len(comp) - 1 and comp[j + 1] >= half:
+        j += 1
+    right = tau[j] + (half - comp[j]) * (tau[j + 1] - tau[j]) / (comp[j + 1] - comp[j])
+    return float(right - left)
+
+
+class TestFwhmCrossings:
+    def test_asymmetric_piecewise_linear(self):
+        # half maximum 1.0: crossed at -1.5 between (-2, 0.5) and (-1, 1.5)
+        # and at 2.5 between (2, 1.25) and (3, 0.75); dyadic values, so exact
+        comp = [0.0, 0.0, 0.5, 1.5, 2.0, 1.75, 1.25, 0.75, 0.0]
+        assert fwhm_pedestal(pedestal_of(comp)) == 4.0
+
+    def test_peak_at_first_sample(self):
+        with pytest.raises(BracketingError, match="left"):
+            fwhm_pedestal(pedestal_of([2.0, 1.5, 0.5, 0.0, 0.0]))
+
+    def test_peak_at_last_sample(self):
+        with pytest.raises(BracketingError, match="right"):
+            fwhm_pedestal(pedestal_of([0.0, 0.0, 0.5, 1.5, 2.0]))
+
+    def test_bitwise_equal_to_two_scans(self):
+        # skewed bumps with ripple, so plateaus and re-crossings above half occur
+        rng = np.random.default_rng(8)
+        tau = np.linspace(-10.0, 10.0, 801)
+        for _ in range(50):
+            centre, wl, wr = rng.uniform(-3, 3), rng.uniform(0.3, 3), rng.uniform(0.3, 3)
+            width = np.where(tau < centre, wl, wr)
+            comp = np.exp(-(((tau - centre) / width) ** 2)) + 0.05 * rng.random(tau.size)
+            ped = Trace(tau=tau, value=1.0 + comp, kind="nrf_pedestal")
+            assert fwhm_pedestal(ped) == two_scan_fwhm(tau, ped.value - 1.0)
+
+
 class TestModeCounts:
     def test_reference_arithmetic(self):
         assert mode_count_g2(1.1, 8.17e5) == pytest.approx(10.0, abs=0.1)
