@@ -48,9 +48,10 @@ def _cosh_branch(z):
     out = np.empty_like(z)
     pos = z >= _SERIES_CUTOFF
     neg = z <= -_SERIES_CUTOFF
+    s = np.sqrt(np.abs(z))
+    np.cosh(s, out=out, where=pos)
+    np.cos(s, out=out, where=neg)
     mid = ~(pos | neg)
-    out[pos] = np.cosh(np.sqrt(z[pos]))
-    out[neg] = np.cos(np.sqrt(-z[neg]))
     zm = z[mid]
     out[mid] = 1.0 + zm / 2.0 + zm * zm / 24.0 + zm * zm * zm / 720.0
     return out
@@ -62,13 +63,13 @@ def _sinc_branch(z):
     out = np.empty_like(z)
     pos = z >= _SERIES_CUTOFF
     neg = z <= -_SERIES_CUTOFF
-    mid = ~(pos | neg)
-    sp = np.sqrt(z[pos])
-    out[pos] = np.sinh(sp) / sp
-    sn = np.sqrt(-z[neg])
-    out[neg] = np.sin(sn) / sn
-    zm = z[mid]
-    out[mid] = 1.0 + zm / 6.0 + zm * zm / 120.0 + zm * zm * zm / 5040.0
+    s = np.sqrt(np.abs(z))
+    np.sinh(s, out=out, where=pos)
+    np.sin(s, out=out, where=neg)
+    far = pos | neg
+    np.divide(out, s, out=out, where=far)
+    zm = z[~far]
+    out[~far] = 1.0 + zm / 6.0 + zm * zm / 120.0 + zm * zm * zm / 5040.0
     return out
 
 

@@ -236,6 +236,20 @@ def _block_signals(omega, normals, tau, crystal, pump, eta):
     return 0.25 * norm - 4.0 * omega.shape[1], 0.5 * cross
 
 
+def _ensemble_floats(det: DetectionModel, lattice: LatticeSpec) -> int:
+    """Estimated float64 working set of one ensemble: normals, jitter and
+    detunings per chunk, plus the per-pulse arrays.  Raises when it alone
+    is above ``_MAX_FLOATS``."""
+    n, clusters = det.n_pulses, det.m_modes * lattice.n_freq_bins
+    floats = (_N_NORMALS + 2) * min(_CHUNK, n) * clusters + _PER_PULSE * n
+    if floats > _MAX_FLOATS:
+        raise ValidationError(
+            f"an ensemble of {n} pulses x {clusters} clusters needs about "
+            f"{floats:.3g} float64 values, above the cap of {_MAX_FLOATS}"
+        )
+    return floats
+
+
 def simulate_ensemble(
     crystal: CrystalParams,
     pump: PumpParams,
@@ -255,13 +269,7 @@ def simulate_ensemble(
     n_pulses = det.n_pulses
     m = det.m_modes
     k = lattice.n_freq_bins
-    # normals, jitter and detunings per chunk, plus the per-pulse arrays
-    floats = (_N_NORMALS + 2) * min(_CHUNK, n_pulses) * m * k + _PER_PULSE * n_pulses
-    if floats > _MAX_FLOATS:
-        raise ValidationError(
-            f"an ensemble of {n_pulses} pulses x {m * k} clusters needs about "
-            f"{floats:.3g} float64 values, above the cap of {_MAX_FLOATS}"
-        )
+    _ensemble_floats(det, lattice)
     if n_pulses < 3:  # the delete-one jackknife of a variance divides by n - 2
         raise ValidationError(f"need at least 3 pulses per ensemble, got {n_pulses}")
     dw = lattice.bin_width
@@ -355,11 +363,19 @@ def dip_scan(
 
     ``threads`` > 1 runs the delays in a thread pool (numpy's generators
     release the GIL); each delay keeps its own seed, so the results are
-    identical for every thread count.
+    identical for every thread count.  The working-set cap covers all
+    ensembles that run at once and is checked before the first starts.
     """
     if threads < 1:
         raise ValidationError(f"thread count must be >= 1, got {threads}")
     taus = [float(tau) for tau in np.asarray(tau_grid, dtype=float)]
+    floats = _ensemble_floats(det, lattice)
+    running = min(threads, len(taus))
+    if running * floats > _MAX_FLOATS:
+        raise ValidationError(
+            f"{running} ensembles at once need about {running * floats:.3g} float64 values, above "
+            f"the cap of {_MAX_FLOATS}; the thread count must be <= {_MAX_FLOATS // floats}"
+        )
 
     def point(idx):
         return simulate_ensemble(crystal, pump, det, lattice, taus[idx], derive_seed(seed, idx))

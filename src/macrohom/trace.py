@@ -12,7 +12,9 @@ factor, i.e. Re(u0^2) cos(2 w tau) rather than Re(u0^2 exp(2 i w tau)):
 the odd component encodes the mean temporal walk-off offset, which the
 crossed-crystal compensation removes from the measured trace; dropping it
 makes every trace exactly even in tau.  At tau = 0 and at the edges the
-two forms agree identically.
+two forms agree identically.  The kernel therefore runs once per distinct
+|tau| and copies each value to both signs, so traces are even by
+construction.
 
 The g2 trace follows from the same variance physics: the total detected
 signal is delay independent, so the cross-correlation dips exactly where
@@ -137,7 +139,9 @@ def _check_resolution(grid: SpectralGrid, tau):
 
 def _trace_values(tau, crystal, pump, grid):
     """Shared quadrature core: the (pedestal, nrf) values, building each
-    chunk's pedestal sum once for both."""
+    chunk's pedestal sum once for both.  The integrand depends on tau only
+    through tau^2 (in G(tau)) and cos(2 w tau), so the kernel runs once per
+    distinct |tau| and both traces are expanded back onto ``tau``."""
     tau = np.asarray(tau, dtype=float)
     if tau.ndim != 1 or tau.size == 0:
         raise ValidationError("tau grid must be a nonempty 1-d sequence")
@@ -155,22 +159,23 @@ def _trace_values(tau, crystal, pump, grid):
     interf_coef = coef * (u0.real**2 - u0.imag**2)  # w * v0^2 * Re(u0^2)
 
     x = _half_angle(omega, crystal)
-    g_tau = np.asarray(gain_at(tau, pump), dtype=float)
+    abs_tau, back = np.unique(np.abs(tau), return_inverse=True)
+    g_tau = gain_at(abs_tau, pump)
 
-    pedestal = np.empty_like(tau)
-    nrf = np.empty_like(tau)
-    for lo in range(0, tau.size, _TAU_CHUNK):
-        hi = min(lo + _TAU_CHUNK, tau.size)
+    pedestal, nrf = np.empty((2, abs_tau.size))
+    for lo in range(0, abs_tau.size, _TAU_CHUNK):
+        hi = min(lo + _TAU_CHUNK, abs_tau.size)
         ped_sum = _v_abs(g_tau[lo:hi][:, None], x) ** 2 @ coef
         pedestal[lo:hi] = 1.0 + ped_sum / denom
-        osc = np.cos(2.0 * np.outer(tau[lo:hi], omega))
+        osc = np.cos(2.0 * np.outer(abs_tau[lo:hi], omega))
         nrf[lo:hi] = 1.0 + (ped_sum + osc @ interf_coef) / denom
-    return pedestal, nrf
+    return pedestal[back], nrf[back]
 
 
 def nrf_and_pedestal(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: SpectralGrid):
     """The variance trace and its pedestal, (nrf, pedestal), from one kernel
-    pass."""
+    pass over the distinct |tau| of ``tau_grid``: both are even by
+    construction."""
     ped, nrf = _trace_values(tau_grid, crystal, pump, grid)
     return (
         Trace(tau=tau_grid, value=nrf, kind="nrf_ideal"),

@@ -292,6 +292,12 @@ class TestNonFiniteInputs:
                 "[detection]\nmodes = 1\npulses = 100000000000\n[mc]\nn_freq_bins = 1\n",
                 "above the cap of 134217728",
             ),
+            # one ensemble of 256 pulses x 10000 clusters fits; two at once do not
+            (
+                "mc --threads 2",
+                "[detection]\nmodes = 10\npulses = 256\n[mc]\nn_freq_bins = 1000\n",
+                "the thread count must be <= 1",
+            ),
         ],
     )
     def test_rejected_with_message(self, tmp_path, capsys, command, config_text, message):

@@ -121,6 +121,69 @@ class TestUV:
         assert _cosh_branch(np.array([0.0]))[0] == 1.0
         assert _sinc_branch(np.array([0.0]))[0] == 1.0
 
+    def test_branches_bitwise_equal_to_gather_formulas(self):
+        # the masked-ufunc branch functions against the gather/scatter
+        # formulas, on every branch, both series cutoffs and 0-d inputs
+        from macrohom.gain import _SERIES_CUTOFF, _cosh_branch, _sinc_branch
+
+        def gathered(z, far_pos, far_neg, series):
+            z = np.asarray(z, dtype=float)
+            out = np.empty_like(z)
+            pos = z >= _SERIES_CUTOFF
+            neg = z <= -_SERIES_CUTOFF
+            mid = ~(pos | neg)
+            out[pos] = far_pos(z[pos])
+            out[neg] = far_neg(z[neg])
+            out[mid] = series(z[mid])
+            return out
+
+        def cosh_ref(z):
+            return gathered(
+                z,
+                lambda zp: np.cosh(np.sqrt(zp)),
+                lambda zn: np.cos(np.sqrt(-zn)),
+                lambda zm: 1.0 + zm / 2.0 + zm * zm / 24.0 + zm * zm * zm / 720.0,
+            )
+
+        def sinc_ref(z):
+            def sinh_over(zp):
+                sp = np.sqrt(zp)
+                return np.sinh(sp) / sp
+
+            def sin_over(zn):
+                sn = np.sqrt(-zn)
+                return np.sin(sn) / sn
+
+            return gathered(
+                z,
+                sinh_over,
+                sin_over,
+                lambda zm: 1.0 + zm / 6.0 + zm * zm / 120.0 + zm * zm * zm / 5040.0,
+            )
+
+        c = _SERIES_CUTOFF
+        edges = [c, -c, np.nextafter(c, 0.0), np.nextafter(-c, 0.0),
+                 np.nextafter(c, 1.0), np.nextafter(-c, -1.0)]
+        rng = np.random.default_rng(7)
+        z = np.concatenate([
+            edges,
+            [0.0, -0.0, 5e-7, -5e-7, 1.0, -1.0, -math.pi**2, 56.25, -400.0, 1e4, math.nan],
+            # contiguous runs and short alternations of the three branches
+            np.linspace(-60.0, 60.0, 1001),
+            rng.uniform(-2e-6, 2e-6, 500),
+            56.25 - rng.uniform(0.0, 450.0, 2000),
+        ])
+        block = z[: 64 * 40].reshape(64, 40)
+        for fn, ref in ((_cosh_branch, cosh_ref), (_sinc_branch, sinc_ref)):
+            for arg in (z, block, block.T):
+                got = fn(arg)
+                assert got.shape == arg.shape
+                assert got.tobytes() == ref(arg).tobytes()
+            for value in z[:17]:
+                got = fn(np.float64(value))
+                assert got.shape == ()
+                assert got.tobytes() == ref(value).tobytes()
+
     def test_conjugation_symmetry(self):
         c = crystal_with(0.41)
         pump = PumpParams(g_peak=4.2, t_p=18.0)

@@ -5,7 +5,7 @@ import pytest
 
 from macrohom.errors import BracketingError, GridResolutionError, ValidationError
 from macrohom.fock import hom_stats, tmsv
-from macrohom.gain import calibrate_walkoff
+from macrohom.gain import calibrate_walkoff, uv_arrays
 from macrohom.params import CrystalParams, DetectionModel, PumpParams, SpectralGrid
 from macrohom.trace import (
     Trace,
@@ -41,6 +41,25 @@ def reference_traces(crystal):
     nrf = nrf_trace(tau, crystal, PUMP, grid)
     ped = pedestal_trace(tau, crystal, PUMP, grid)
     return tau, grid, nrf, ped
+
+
+def direct_values(tau, crystal, pump, grid):
+    """(nrf, pedestal) one delay at a time from the quadrature formula
+    1 + (|v(G(tau), x)|^2 @ coef + cos(2 tau w) @ interf_coef) / denom,
+    each delay evaluated as given, sign included, with exactly rounded
+    sums so no summation order is shared with the kernel."""
+    omega = grid.omega
+    u0, v0 = uv_arrays(omega, 0.0, crystal, pump)
+    coef = grid.weights * v0 * v0
+    denom = float(np.sum(coef))
+    interf_coef = coef * (u0.real**2 - u0.imag**2)
+    nrf, ped = [], []
+    for t in np.asarray(tau, dtype=float):
+        _, v_t = uv_arrays(omega, float(t), crystal, pump)
+        ped_sum = math.fsum(v_t * v_t * coef)
+        ped.append(1.0 + ped_sum / denom)
+        nrf.append(1.0 + (ped_sum + math.fsum(np.cos(2.0 * t * omega) * interf_coef)) / denom)
+    return np.array(nrf), np.array(ped)
 
 
 def single_omega_grid(omega0):
@@ -89,6 +108,17 @@ class TestNrfTrace:
         for trace in (nrf, ped):
             asym = np.max(np.abs(trace.value - trace.value[::-1]))
             assert asym <= 1e-8 * np.max(trace.value)
+
+    def test_negative_delays_match_direct_evaluation(self, crystal, reference_traces):
+        # evenness checked without the kernel's |tau| fold: negative delays,
+        # denser near the narrow peak, evaluated one at a time
+        tau, grid, nrf, ped = reference_traces
+        i0 = len(tau) // 2
+        idx = i0 - np.unique(np.geomspace(1, i0, 22).astype(int))
+        assert np.all(tau[idx] < 0) and idx.size >= 20
+        nrf_direct, ped_direct = direct_values(tau[idx], crystal, PUMP, grid)
+        np.testing.assert_allclose(nrf.value[idx], nrf_direct, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(ped.value[idx], ped_direct, rtol=1e-10, atol=0)
 
     def test_quadrature_grid_doubling(self, crystal):
         from macrohom.gain import omega_max_for
@@ -405,6 +435,32 @@ class TestOnePassKernel:
         assert (nrf.kind, ped.kind) == ("nrf_ideal", "nrf_pedestal")
         np.testing.assert_array_equal(nrf.value, nrf_trace(tau, crystal, pump, grid).value)
         np.testing.assert_array_equal(ped.value, pedestal_trace(tau, crystal, pump, grid).value)
+
+
+class TestDelayFold:
+    """The kernel runs once per distinct |tau|; any grid folds onto it."""
+
+    TAU = np.array([-3.0, -1.0, 0.0, 1.0, 2.5, 3.0])  # mixed sign, |tau| unsorted, repeated
+
+    def test_repeated_abs_delays_and_direct_evaluation(self, crystal):
+        grid = default_grid(crystal, PUMP, 3.0)
+        nrf, ped = nrf_and_pedestal(self.TAU, crystal, PUMP, grid)
+        for trace in (nrf, ped):
+            assert trace.value[0] == trace.value[5]
+            assert trace.value[1] == trace.value[3]
+        nrf_direct, ped_direct = direct_values(self.TAU, crystal, PUMP, grid)
+        np.testing.assert_allclose(nrf.value, nrf_direct, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(ped.value, ped_direct, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("tau_max, tau_step", [(80.0, 0.05), (6.0, 0.02)])
+    def test_one_sided_grid_equals_nonnegative_half(self, crystal, tau_max, tau_step):
+        tau = delay_grid(tau_max, tau_step)
+        half = tau[tau >= 0]
+        grid = default_grid(crystal, PUMP, tau_max)
+        full = nrf_and_pedestal(tau, crystal, PUMP, grid)
+        one_sided = nrf_and_pedestal(half, crystal, PUMP, grid)
+        for whole, part in zip(full, one_sided):
+            np.testing.assert_array_equal(part.value, whole.value[tau >= 0])
 
 
 class TestDelayGrid:
