@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -33,28 +34,24 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _sha256(path) -> str:
+def _write_csv(path, header, rows) -> str:
+    """Write the table and return the sha256 of the bytes written."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            digest.update(block)
+    with open(path, "wb") as fh:
+        for line in itertools.chain([",".join(header)], (",".join(map(_fmt, r)) for r in rows)):
+            data = (line + "\n").encode("utf-8")
+            fh.write(data)
+            digest.update(data)
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir, command, config: RunConfig, resolved, summary, csv_path):
+def _write_manifest(out_dir, command, config: RunConfig, resolved, summary, csv_name, digest):
     manifest = {
         "command": command,
         "config": config.resolved(),
         "resolved": resolved,
         "summary": summary,
-        "outputs": {os.path.basename(csv_path): _sha256(csv_path)},
+        "outputs": {csv_name: digest},
     }
     path = os.path.join(out_dir, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -218,8 +215,7 @@ def cmd_mc(config: RunConfig, args):
     det = config.detection()
     lattice = montecarlo.LatticeSpec.default(crystal, pump, n_freq_bins=config.mc_freq_bins())
     taus = config.mc_tau_points()
-    seed = args.seed if args.seed is not None else config.mc_seed()
-    stats = montecarlo.dip_scan(crystal, pump, det, lattice, taus, seed, threads=args.threads)
+    stats = montecarlo.dip_scan(crystal, pump, det, lattice, taus, args.seed, threads=args.threads)
 
     resolved = _resolved_params(crystal, pump, det)
     resolved["lattice"] = {
@@ -228,7 +224,7 @@ def cmd_mc(config: RunConfig, args):
         "slice_duration_ps": lattice.slice_duration,
         "bin_width_rad_per_ps": lattice.bin_width,
     }
-    resolved["seed"] = seed
+    resolved["seed"] = args.seed
     summary = {
         "n_pulses": det.n_pulses,
         "wigner_cell_occupancy": montecarlo.wigner_cell_occupancy(crystal, pump, lattice),
@@ -239,7 +235,7 @@ def cmd_mc(config: RunConfig, args):
         [(tau, st.nrf_hat, st.se_nrf, st.g2_hat, st.se_g2) for tau, st in zip(taus, stats)],
         resolved,
         summary,
-        f"mc: {len(taus)} delay points x {det.n_pulses} pulses, seed={seed}",
+        f"mc: {len(taus)} delay points x {det.n_pulses} pulses, seed={args.seed}",
     )
 
 
@@ -267,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="INI run configuration")
         p.add_argument("--out", default=".", help="output directory")
         if name == "mc":
-            p.add_argument("--seed", type=int, default=None, help="RNG seed override")
+            p.add_argument("--seed", type=int, default=20120815, help="RNG seed")
             p.add_argument("--threads", type=int, default=1, help="worker thread cap")
     return parser
 
@@ -278,9 +274,8 @@ def main(argv=None) -> int:
         config = RunConfig.load(args.config)
         name, header, rows, resolved, summary, line = _COMMANDS[args.command](config, args)
         os.makedirs(args.out, exist_ok=True)
-        csv_path = os.path.join(args.out, name)
-        _write_csv(csv_path, header, rows)
-        _write_manifest(args.out, args.command, config, resolved, summary, csv_path)
+        digest = _write_csv(os.path.join(args.out, name), header, rows)
+        _write_manifest(args.out, args.command, config, resolved, summary, name, digest)
         print(line)
         return EXIT_OK
     except ValidationError as exc:

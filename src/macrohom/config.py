@@ -25,7 +25,6 @@ _DEFAULTS = {
         "gain": "7.5",
         "pulse_fwhm_ps": "18.0",
         "degenerate_nm": "709.3",
-        "pump_nm": "354.7",
     },
     "detection": {
         "efficiency": "0.03",
@@ -48,7 +47,6 @@ _DEFAULTS = {
     "mc": {
         "tau_points": "0.0,0.5,1.0,1.5,2.5,4.0,6.0,10.0,16.0,28.0,45.0",
         "n_freq_bins": "48",
-        "seed": "20120815",
     },
 }
 
@@ -108,11 +106,12 @@ class RunConfig:
 
     def pump(self) -> PumpParams:
         sec = self.raw["pump"]
+        lambda_deg = _parse_float("pump", "degenerate_nm", sec["degenerate_nm"])
         return PumpParams(
             g_peak=_parse_float("pump", "gain", sec["gain"]),
             t_p=_parse_float("pump", "pulse_fwhm_ps", sec["pulse_fwhm_ps"]),
-            lambda_deg=_parse_float("pump", "degenerate_nm", sec["degenerate_nm"]),
-            lambda_pump=_parse_float("pump", "pump_nm", sec["pump_nm"]),
+            lambda_deg=lambda_deg,
+            lambda_pump=lambda_deg / 2.0,
         )
 
     def crystal(self) -> CrystalParams:
@@ -175,9 +174,6 @@ class RunConfig:
         if not values:
             raise ValidationError("[mc] tau_points is empty")
         return values
-
-    def mc_seed(self) -> int:
-        return _parse_int("mc", "seed", self.raw["mc"]["seed"])
 
     def mc_freq_bins(self) -> int:
         return _parse_int("mc", "n_freq_bins", self.raw["mc"]["n_freq_bins"])

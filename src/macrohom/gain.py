@@ -116,6 +116,7 @@ def omega_max_for(crystal: CrystalParams, pump: PumpParams) -> float:
 
     Uses the monotone envelope bound |v|^2 <= G^2/(x^2 - G^2) valid past
     the gain band, so the returned value is a rigorous tail cutoff.
+    Raises ValidationError when the cutoff is not a finite float.
     """
     g = pump.g_peak
     if g <= 0:
@@ -123,9 +124,13 @@ def omega_max_for(crystal: CrystalParams, pump: PumpParams) -> float:
     dl = crystal.walkoff_slope * crystal.length_mm
     if dl <= 0:
         raise ValidationError("walkoff_slope * length must be > 0 to size a grid")
-    n_peak = math.sinh(g) ** 2
-    x_max = g * math.sqrt(1.0 + 1.0 / (TAIL_CUTOFF * n_peak))
-    return 2.0 * x_max / dl
+    # zero below G of about 1e-159; its reciprocal overflows below about 7e-152
+    tail = TAIL_CUTOFF * math.sinh(g) ** 2
+    x_max = g * math.sqrt(1.0 + (1.0 / tail if tail > 0 else math.inf))
+    omega_max = 2.0 * x_max / dl
+    if not math.isfinite(omega_max):
+        raise ValidationError(f"no finite grid can be sized at gain {g}, walkoff * length {dl}")
+    return omega_max
 
 
 def _fwhm_scale(pump: PumpParams) -> float:
@@ -214,6 +219,8 @@ def fit_gain_curve(powers, intensities):
         raise ValidationError("need at least 3 (power, intensity) points")
     if p.shape != y.shape:
         raise ValidationError("powers and intensities must have equal length")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(y))):
+        raise ValidationError("powers and intensities must be finite")
     if np.any(p <= 0):
         raise ValidationError("powers must be > 0")
     if np.all(y == 0):
@@ -239,7 +246,7 @@ def fit_gain_curve(powers, intensities):
             bounds=((0.0, 0.0), (np.inf, np.inf)),
             maxfev=20_000,
         )
-    except RuntimeError as exc:
-        raise FitError(f"gain-curve fit did not converge: {exc}")
+    except (RuntimeError, ValueError) as exc:  # ValueError: the model overflows at the start
+        raise FitError(f"gain-curve fit failed: {exc}")
     c, scale = float(popt[0]), float(popt[1])
     return c, scale

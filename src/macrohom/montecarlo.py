@@ -110,6 +110,8 @@ class LatticeSpec:
     ) -> "LatticeSpec":
         """Reference-configuration lattice: slice = one coherence time, bins
         tiling the spectrum up to the tail cutoff, window >= 6 sigma."""
+        if n_freq_bins < 1:
+            raise ValidationError(f"lattice needs at least one frequency bin, got {n_freq_bins}")
         omega_max = omega_max_for(crystal, pump)
         fwhm_nm = spectral_fwhm_nm(crystal, pump)
         fwhm_rad = fwhm_nm * 2.0 * math.pi * C_NM_PER_PS / pump.lambda_deg**2
@@ -136,13 +138,10 @@ class LatticeSpec:
 class EnsembleStats:
     """Per-pulse twin-signal statistics over one ensemble."""
 
-    mean_s1: float
-    mean_s2: float
     nrf_hat: float
     g2_hat: float
     se_nrf: float
     se_g2: float
-    n_pulses: int
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -340,13 +339,10 @@ def _estimate(s1, s2) -> EnsembleStats:
     se_g2 = math.sqrt(nm1 / n * float(np.sum((theta_g2 - np.mean(theta_g2)) ** 2)))
 
     return EnsembleStats(
-        mean_s1=mean1,
-        mean_s2=mean2,
         nrf_hat=float(nrf_hat),
         g2_hat=float(g2_hat),
         se_nrf=se_nrf,
         se_g2=se_g2,
-        n_pulses=n,
     )
 
 

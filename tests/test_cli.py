@@ -169,6 +169,22 @@ class TestFitGainCommand:
     def test_missing_file(self, tmp_path):
         assert run(tmp_path, "fit-gain", "[fit]\ndata = /nonexistent.csv\n") == 4
 
+    @pytest.mark.parametrize(
+        "rows, code, message",
+        [
+            ("1,nan\n2,3\n3,5\n", 2, "must be finite"),
+            ("1,2\ninf,3\n3,5\n", 2, "must be finite"),
+            ("5,1e308\n20,1e308\n55,1e308\n", 3, "gain-curve fit failed"),
+            ("5,1\n20,300\n1e300,1e6\n", 3, "gain-curve fit failed"),
+            ("1e-300,1\n20,300\n55,1e6\n", 3, "gain-curve fit failed"),
+        ],
+    )
+    def test_unfittable_values(self, tmp_path, capsys, rows, code, message):
+        path = tmp_path / "data.csv"
+        path.write_text("power_mw,intensity\n" + rows)
+        assert run(tmp_path, "fit-gain", f"[fit]\ndata = {path}\n") == code
+        assert message in capsys.readouterr().err
+
 
 class TestCalibrateCommand:
     def test_closure(self, tmp_path):
@@ -251,11 +267,27 @@ class TestMcCommand:
         )
         assert (out_a / "mc.csv").read_bytes() == (out_b / "mc.csv").read_bytes()
 
+    @pytest.mark.parametrize("config_text", ["[pump]\npump_nm = 354.65\n", "[mc]\nseed = 7\n"])
+    def test_keys_set_elsewhere_are_unknown(self, tmp_path, capsys, config_text):
+        assert run(tmp_path, "mc", "[detection]\npulses = 3\n" + config_text) == 2
+        assert "unknown key" in capsys.readouterr().err
+
+    def test_default_seed_and_pump_wavelength(self, tmp_path):
+        cfg = "[detection]\npulses = 3\nmodes = 1\n[mc]\ntau_points = 0.0\nn_freq_bins = 2\n"
+        assert run(tmp_path, "mc", cfg) == 0
+        resolved = read_manifest(tmp_path)["resolved"]
+        assert resolved["seed"] == 20120815
+        assert resolved["pump"]["pump_nm"] == resolved["pump"]["degenerate_nm"] / 2
+
     def test_default_pulse_count_is_reference_value(self, tmp_path):
         from macrohom.config import RunConfig
 
         config = RunConfig.load(None)
         assert config.detection().n_pulses == 30000
+
+
+# sinh^2 G underflows to zero at this gain
+TINY_GAIN = "[crystal]\nwalkoff_ps_per_mm = 0.2\n[pump]\ngain = 1e-200\n"
 
 
 class TestNonFiniteInputs:
@@ -277,7 +309,7 @@ class TestNonFiniteInputs:
             ("g2", "[trace]\ntau_max_ps = 3000\ntau_step_ps = 1.0\n", "quadrature nodes"),
             ("calibrate", "[crystal]\ncalibration_fwhm_nm = inf\n", "must be finite"),
             ("mc --seed -1", "[detection]\npulses = 4\n", "seed must be a non-negative"),
-            ("mc", "[detection]\npulses = 4\n[mc]\nseed = -5\n", "seed must be a non-negative"),
+            ("mc", "[detection]\npulses = 4\n[mc]\nseed = -5\n", "unknown key 'seed'"),
             ("mc --threads 0", "[detection]\npulses = 4\n", "thread count must be >= 1"),
             ("mc --threads -3", "[detection]\npulses = 4\n", "thread count must be >= 1"),
             ("mc", "[detection]\npulses = 2\n[mc]\ntau_points = 0.0,45.0\n", "at least 3 pulses"),
@@ -292,6 +324,12 @@ class TestNonFiniteInputs:
                 "[detection]\nmodes = 1\npulses = 100000000000\n[mc]\nn_freq_bins = 1\n",
                 "above the cap of 134217728",
             ),
+            # spectral grids and lattices that cannot be sized
+            ("trace", TINY_GAIN, "no finite grid"),
+            ("g2", TINY_GAIN, "no finite grid"),
+            ("mc", TINY_GAIN + "[detection]\npulses = 4\n", "no finite grid"),
+            ("sweep-gain", "[sweep]\ng_values = 1e-300\n", "no finite grid"),
+            ("mc", "[detection]\npulses = 4\n[mc]\nn_freq_bins = 0\n", "at least one frequency bin"),
             # one ensemble of 256 pulses x 10000 clusters fits; two at once do not
             (
                 "mc --threads 2",

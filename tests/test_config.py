@@ -22,7 +22,6 @@ ACCESSORS = [
     ("tau_grid",),
     ("sweep_gains",),
     ("mc_tau_points",),
-    ("mc_seed",),
     ("mc_freq_bins",),
     ("fit_data_path",),
     ("calibrated_crystal",),

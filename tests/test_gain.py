@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from macrohom.errors import BracketingError, ValidationError
+from macrohom.errors import BracketingError, FitError, ValidationError
 from macrohom.gain import (
     _half_angle,
     calibrate_walkoff,
@@ -260,6 +260,20 @@ class TestSpectralFwhm:
         _, v = uv_arrays(np.array([omega_max]), 0.0, c, REF_PUMP)
         assert v[0] ** 2 < 1e-6 * math.sinh(7.5) ** 2
 
+    @pytest.mark.parametrize("g", [1e-150, 1e-3, 0.5, 7.5, 12.0, 300.0])
+    def test_tail_rule_closed_form(self, g):
+        # bitwise the envelope bound 2 x_max / (d L) wherever it is finite
+        c = crystal_with(0.2)
+        x_max = g * math.sqrt(1.0 + 1.0 / (1e-6 * math.sinh(g) ** 2))
+        expected = 2.0 * x_max / (c.walkoff_slope * c.length_mm)
+        assert omega_max_for(c, PumpParams(g_peak=g)) == expected
+
+    @pytest.mark.parametrize("g, d", [(1e-155, 0.2), (1e-200, 0.2), (7.5, 1e-310)])
+    def test_tail_rule_rejects_infinite_cutoff(self, g, d):
+        # sinh^2 G underflows to zero, or the cutoff overflows
+        with pytest.raises(ValidationError, match="no finite grid"):
+            omega_max_for(crystal_with(d), PumpParams(g_peak=g))
+
 
 class TestCalibrateWalkoff:
     def test_monotone_in_target(self):
@@ -334,3 +348,27 @@ class TestFitGainCurve:
     def test_too_few_points(self):
         with pytest.raises(ValidationError):
             fit_gain_curve([1.0, 2.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "powers, intens",
+        [
+            ([1.0, 2.0, 3.0], [1.0, math.nan, 5.0]),
+            ([1.0, 2.0, 3.0], [1.0, math.inf, 5.0]),
+            ([1.0, math.inf, 3.0], [1.0, 3.0, 5.0]),
+        ],
+    )
+    def test_non_finite_data_rejected(self, powers, intens):
+        with pytest.raises(ValidationError, match="must be finite"):
+            fit_gain_curve(powers, intens)
+
+    @pytest.mark.parametrize(
+        "powers, intens",
+        [
+            ([5.0, 20.0, 55.0], [1e308, 1e308, 1e308]),
+            ([5.0, 20.0, 1e300], [1.0, 300.0, 1e6]),
+            ([1e-300, 20.0, 55.0], [1.0, 300.0, 1e6]),
+        ],
+    )
+    def test_overflowing_model_is_fit_error(self, powers, intens):
+        with pytest.raises(FitError):
+            fit_gain_curve(powers, intens)

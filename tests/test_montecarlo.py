@@ -52,6 +52,11 @@ class TestLatticeSpec:
         with pytest.raises(ValidationError):
             LatticeSpec(n_time_slices=0, n_freq_bins=4, slice_duration=0.1, bin_width=0.1)
 
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_default_rejects_no_bins(self, crystal, bins):
+        with pytest.raises(ValidationError, match="at least one frequency bin"):
+            LatticeSpec.default(crystal, PUMP, n_freq_bins=bins)
+
 
 class TestSimulateEnsemble:
     def test_seed_determinism(self, crystal, lattice):
