@@ -70,14 +70,12 @@ def default_n_max(g: float) -> int:
     return max(32, int(math.ceil(12.0 * math.sinh(g) ** 2)), n_adequate)
 
 
-def tmsv(g: float, n_max: int | None = None) -> TmsvState:
-    """Two-mode squeezed vacuum with gain g, amplitudes tanh^n(g)/cosh(g)."""
+def tmsv(g: float) -> TmsvState:
+    """Two-mode squeezed vacuum with gain g, amplitudes tanh^n(g)/cosh(g),
+    truncated at :func:`default_n_max`."""
     if g < 0:
         raise ValidationError(f"gain must be >= 0, got {g}")
-    if n_max is None:
-        n_max = default_n_max(g)
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
+    n_max = default_n_max(g)
     th = math.tanh(g)
     if th > 0 and th ** (2 * n_max) >= _ADEQUACY:
         raise TruncationError(
@@ -133,14 +131,10 @@ def hom_stats(state: TmsvState, phi: float):
     n_max = state.n_max
     half = 0.5 * phi
 
-    tot_p = 0.0
-    e_n1 = 0.0
-    e_n2 = 0.0
-    e_nm = 0.0  # <N1 - N2>
-    e_nm2 = 0.0  # <(N1 - N2)^2>
-    e_np = 0.0  # <N1 + N2>
-    e_n1n2 = 0.0
-
+    # per sector s: the probability and the first two moments of beam 1's
+    # output count K = k1 + k2 (its counts at the +Omega and -Omega
+    # splitters), each weighted by the probability; beam 2 holds 2s - K
+    moments = []
     for s in range(0, 2 * n_max + 1):
         n_lo = max(0, s - n_max)
         n_hi = min(s, n_max)
@@ -154,39 +148,21 @@ def hom_stats(state: TmsvState, phi: float):
         b2 = b[:, s - ns]  # splitter at -Omega: beam-1 occupation m = s-n
         amp = (b1 * w[None, :]) @ b2.T
         p = np.abs(amp) ** 2
-
         k = np.arange(s + 1, dtype=float)
-        row = p.sum(axis=1)
-        col = p.sum(axis=0)
-        m0 = row.sum()
-        sum_k1 = float(k @ row)
-        sum_k2 = float(k @ col)
-        sum_k1sq = float((k * k) @ row)
-        sum_k2sq = float((k * k) @ col)
-        sum_k1k2 = float(k @ p @ k)
+        marginals = p.sum(axis=1) + p.sum(axis=0)  # of k1 plus of k2
+        moments.append((s, p.sum(), k @ marginals, (k * k) @ marginals + 2.0 * (k @ p @ k)))
 
-        kk = sum_k1 + sum_k2  # E[K], K = k1 + k2 (N1)
-        kk2 = sum_k1sq + 2.0 * sum_k1k2 + sum_k2sq  # E[K^2]
-        tot_p += m0
-        e_n1 += kk
-        e_n2 += 2.0 * s * m0 - kk
-        e_np += 2.0 * s * m0
-        e_nm += 2.0 * kk - 2.0 * s * m0
-        e_nm2 += 4.0 * kk2 - 8.0 * s * kk + 4.0 * s * s * m0
-        e_n1n2 += 2.0 * s * kk - kk2
-
-    if abs(tot_p - 1.0) > 1e-6:
-        raise TruncationError(
-            f"beamsplitter expansion lost probability: total {tot_p}"
-        )
-
-    var_diff = e_nm2 - e_nm**2
-    n_total = e_np
+    s, prob, e_k, e_k2 = np.array(moments).T
+    if abs(prob.sum() - 1.0) > 1e-6:
+        raise TruncationError(f"beamsplitter expansion lost probability: total {prob.sum()}")
+    n = 2.0 * s  # photons in the sector: N1 = K, N2 = n - K
+    e_n1, e_n2 = float(e_k.sum()), float(np.sum(n * prob - e_k))
+    var_diff = float(np.sum(4.0 * e_k2 - 4.0 * n * e_k + n * n * prob)) - (e_n1 - e_n2) ** 2
     if e_n1 > 0 and e_n2 > 0:
-        g2_cross = e_n1n2 / (e_n1 * e_n2)
+        g2_cross = float(np.sum(n * e_k - e_k2)) / (e_n1 * e_n2)
     else:
         g2_cross = float("nan")
-    return var_diff, n_total, g2_cross
+    return var_diff, e_n1 + e_n2, g2_cross
 
 
 def nrf_single_mode(g: float, g_delayed: float, phi: float) -> float:

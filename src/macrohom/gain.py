@@ -122,8 +122,8 @@ def omega_max_for(crystal: CrystalParams, pump: PumpParams) -> float:
     if g <= 0:
         raise ValidationError("peak gain must be > 0 to size a spectral grid")
     dl = crystal.walkoff_slope * crystal.length_mm
-    if dl <= 0:
-        raise ValidationError("walkoff_slope * length must be > 0 to size a grid")
+    if not (0.0 < dl < math.inf):
+        raise ValidationError(f"walkoff_slope * length must be finite and > 0, got {dl}")
     # zero below G of about 1e-159; its reciprocal overflows below about 7e-152
     tail = TAIL_CUTOFF * math.sinh(g) ** 2
     x_max = g * math.sqrt(1.0 + (1.0 / tail if tail > 0 else math.inf))
@@ -133,16 +133,14 @@ def omega_max_for(crystal: CrystalParams, pump: PumpParams) -> float:
     return omega_max
 
 
-def _fwhm_scale(pump: PumpParams) -> float:
-    """Spectral FWHM (nm) times the walk-off-length product d*L (ps).
+def _half_max_angle(g: float) -> float:
+    """Half-angle x_half = d L omega_half / 2 at which |v|^2 = sinh^2(G) / 2.
 
     |v|^2 = (G S(G^2 - x^2))^2 depends on the gain alone and decreases
     monotonically from sinh^2 G at x = 0 to zero at x = sqrt(G^2 + pi^2), so
-    one root solve on that interval finds the half-maximum half-angle
-    x_half = d L omega_half / 2.  The full width 2 omega_half = 4 x_half / (d L)
-    maps to wavelength through d(lambda) = lambda_deg^2 d(omega) / (2 pi c).
+    one root solve on that interval finds it.  The full spectral width is
+    2 omega_half = 4 x_half / (d L).
     """
-    g = pump.g_peak
     if not (g > 0):
         raise ValidationError("spectral FWHM requires g_peak > 0")
     half = 0.5 * math.sinh(g) ** 2
@@ -153,8 +151,18 @@ def _fwhm_scale(pump: PumpParams) -> float:
     x_zero = math.sqrt(g * g + math.pi ** 2)
     if not (excess(0.0) > 0.0 > excess(x_zero)):
         raise BracketingError("half-maximum crossing not bracketed: degenerate input")
-    x_half = brentq(excess, 0.0, x_zero, xtol=1e-15, rtol=8.9e-16)
-    return pump.lambda_deg ** 2 * 4.0 * x_half / (2.0 * math.pi * C_NM_PER_PS)
+    return brentq(excess, 0.0, x_zero, xtol=1e-15, rtol=8.9e-16)
+
+
+def _fwhm_scale(pump: PumpParams) -> float:
+    """Spectral FWHM (nm) times the walk-off-length product d*L (ps): the
+    width 4 x_half / (d L) of :func:`_half_max_angle` mapped to wavelength
+    through d(lambda) = lambda_deg^2 d(omega) / (2 pi c)."""
+    lam2 = pump.lambda_deg * pump.lambda_deg  # overflows to inf where ** would raise
+    scale = lam2 * 4.0 * _half_max_angle(pump.g_peak) / (2.0 * math.pi * C_NM_PER_PS)
+    if not (0.0 < scale < math.inf):
+        raise ValidationError(f"degenerate wavelength {pump.lambda_deg} nm gives no finite width")
+    return scale
 
 
 def spectral_fwhm_nm(crystal: CrystalParams, pump: PumpParams) -> float:

@@ -59,8 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .gain import _bogoliubov, _half_angle, _v_abs, gain_at, omega_max_for, spectral_fwhm_nm, spectrum
-from .params import C_NM_PER_PS, CrystalParams, DetectionModel, PumpParams, SpectralGrid
+from .gain import _bogoliubov, _half_angle, _half_max_angle, _v_abs, gain_at, omega_max_for, spectrum
+from .params import CrystalParams, DetectionModel, PumpParams, SpectralGrid
 
 _CHUNK = 256  # pulses per RNG stream; fixed so reruns are bit-identical
 _N_NORMALS = 28  # real normals per cluster: 14 complex vacuum inputs
@@ -113,12 +113,14 @@ class LatticeSpec:
         if n_freq_bins < 1:
             raise ValidationError(f"lattice needs at least one frequency bin, got {n_freq_bins}")
         omega_max = omega_max_for(crystal, pump)
-        fwhm_nm = spectral_fwhm_nm(crystal, pump)
-        fwhm_rad = fwhm_nm * 2.0 * math.pi * C_NM_PER_PS / pump.lambda_deg**2
-        slice_duration = 1.0 / fwhm_rad
-        n_slices = int(math.ceil(6.0 * pump.sigma_a / slice_duration))
+        # one coherence time: the inverse of the spectral FWHM 4 x_half / (d L)
+        dl = crystal.walkoff_slope * crystal.length_mm
+        slice_duration = 1.0 / (4.0 * _half_max_angle(pump.g_peak) / dl)
+        n_slices = 6.0 * pump.sigma_a / slice_duration
+        if not math.isfinite(n_slices):
+            raise ValidationError(f"a {pump.t_p} ps pulse spans no finite number of lattice slices")
         lattice = cls(
-            n_time_slices=n_slices,
+            n_time_slices=int(math.ceil(n_slices)),
             n_freq_bins=int(n_freq_bins),
             slice_duration=slice_duration,
             bin_width=omega_max / n_freq_bins,
@@ -412,50 +414,31 @@ def expected_stats(
     eta = det.eta
     phase = np.exp(1j * omega * tau)
     s = np.sqrt(1.0 - r * r)
-    isq2 = 1.0 / math.sqrt(2.0)
-    one = np.ones_like(r)
 
-    # linear map from the 10 cluster inputs (z1p, z2m, z1m, z2p, y1m, y2p,
-    # h+, h-, v+, v-) and their conjugates onto the 8 pre-loss modes; a
-    # part (idx, conj, val) contributes val * zeta_idx or val * conj(zeta)
-    a1p = [(0, False, u0), (1, True, v0)]
-    a2m = [(1, False, u0), (0, True, v0)]
-    a1m = [(2, False, uc), (3, True, vc), (4, False, tc)]
-    a2p = [(3, False, uc), (2, True, vc), (5, False, tc)]
+    # the 8 splitter inputs as maps of the 10 cluster inputs (z1p, z2m, z1m,
+    # z2p, y1m, y2p, h+, h-, v+, v-), c_dir on them and c_con on their
+    # conjugates.  Rows: window w+, w- and complement c+, c- of the delayed
+    # twin modes a1+, a1- (w = r a + s h, c = r h - s a, with the delay
+    # phase on a), then their splitter partners a2+, a2-, v+, v-.
+    coeff = np.zeros((2, 8, 10) + omega.shape, dtype=complex)
+    c_dir, c_con = coeff
+    for row, weight in ((0, r * phase), (2, -s * phase)):  # from a1+ = u0 z1p + v0 z2m*
+        c_dir[row, 0], c_con[row, 1] = u0 * weight, v0 * weight
+    for row, weight in ((1, r * np.conj(phase)), (3, -s * np.conj(phase))):  # from a1-
+        c_dir[row, 2], c_con[row, 3], c_dir[row, 4] = uc * weight, vc * weight, tc * weight
+    c_dir[0, 6], c_dir[1, 7], c_dir[2, 6], c_dir[3, 7] = s, s, r, r
+    c_dir[4, 3], c_con[4, 2], c_dir[4, 5] = uc, vc, tc  # a2+
+    c_dir[5, 1], c_con[5, 0] = u0, v0  # a2-
+    c_dir[6, 8] = c_dir[7, 9] = 1.0  # v+, v-
 
-    def scaled(parts, factor):
-        return [(idx, cj, val * factor) for idx, cj, val in parts]
-
-    w_p = scaled(a1p, r * phase) + [(6, False, s)]
-    c_p = scaled(a1p, -s * phase) + [(6, False, r)]
-    w_m = scaled(a1m, r * np.conj(phase)) + [(7, False, s)]
-    c_m = scaled(a1m, -s * np.conj(phase)) + [(7, False, r)]
-    v_p = [(8, False, one)]
-    v_m = [(9, False, one)]
-
-    def combine(a_parts, b_parts, sign_a):
-        return scaled(a_parts, sign_a * isq2) + scaled(b_parts, isq2)
-
-    modes = [
-        combine(w_p, a2p, 1.0),
-        combine(w_m, a2m, 1.0),
-        combine(c_p, v_p, 1.0),
-        combine(c_m, v_m, 1.0),
-        combine(w_p, a2p, -1.0),
-        combine(w_m, a2m, -1.0),
-        combine(c_p, v_p, -1.0),
-        combine(c_m, v_m, -1.0),
-    ]
-    n_in = 10
-    coeff = np.zeros((8, 2 * n_in) + omega.shape, dtype=complex)
-    for mode_idx, parts in enumerate(modes):
-        for idx, cj, val in parts:
-            coeff[mode_idx, idx + (n_in if cj else 0)] += val
+    # one 50:50 step: detector 1 sees (x + y)/sqrt(2) and detector 2
+    # (y - x)/sqrt(2) for each delayed-side input x and its partner y
+    x, y = coeff[:, :4], coeff[:, 4:]
+    x[...], y[...] = x + y, y - x
+    coeff *= 1.0 / math.sqrt(2.0)
 
     # input second moments: <zeta zeta+> = I/2, <zeta zeta^T> couples each
     # input to its own conjugate slot with weight 1/2
-    c_dir = coeff[:, :n_in]
-    c_con = coeff[:, n_in:]
     a_mat = 0.5 * eta * (
         np.einsum("ik...,jk...->ij...", c_dir, np.conj(c_dir))
         + np.einsum("ik...,jk...->ij...", c_con, np.conj(c_con))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from macrohom.cli import main
+from macrohom.config import _DEFAULTS
 from macrohom.gain import calibrate_walkoff
 from macrohom.params import PumpParams
 
@@ -279,6 +280,18 @@ class TestMcCommand:
         assert resolved["seed"] == 20120815
         assert resolved["pump"]["pump_nm"] == resolved["pump"]["degenerate_nm"] / 2
 
+    def test_lattice_is_free_of_the_wavelength(self, tmp_path):
+        # at an explicit walk-off nothing mc computes reads the wavelength
+        cfg = "[crystal]\nwalkoff_ps_per_mm = 0.2\n[detection]\npulses = 3\nmodes = 1\n"
+        cfg += "[mc]\ntau_points = 0.0\nn_freq_bins = 2\n[pump]\ndegenerate_nm = "
+        outputs = []
+        for nm in ("709.3", "1e-200", "1e200"):
+            out = tmp_path / nm
+            out.mkdir()
+            assert run(out, "mc", cfg + nm + "\n") == 0
+            outputs.append(((out / "mc.csv").read_bytes(), read_manifest(out)["resolved"]["lattice"]))
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_default_pulse_count_is_reference_value(self, tmp_path):
         from macrohom.config import RunConfig
 
@@ -330,6 +343,18 @@ class TestNonFiniteInputs:
             ("mc", TINY_GAIN + "[detection]\npulses = 4\n", "no finite grid"),
             ("sweep-gain", "[sweep]\ng_values = 1e-300\n", "no finite grid"),
             ("mc", "[detection]\npulses = 4\n[mc]\nn_freq_bins = 0\n", "at least one frequency bin"),
+            ("calibrate", "[pump]\ndegenerate_nm = 1e200\n", "gives no finite width"),
+            ("trace", "[pump]\ndegenerate_nm = 1e-200\n", "gives no finite width"),
+            (
+                "mc",
+                "[crystal]\nwalkoff_ps_per_mm = 1e308\n[detection]\npulses = 4\n",
+                "walkoff_slope * length must be finite",
+            ),
+            (
+                "mc",
+                "[pump]\npulse_fwhm_ps = 1e308\n[detection]\npulses = 4\n",
+                "no finite number of lattice slices",
+            ),
             # one ensemble of 256 pulses x 10000 clusters fits; two at once do not
             (
                 "mc --threads 2",
@@ -342,6 +367,38 @@ class TestNonFiniteInputs:
         command, *extra = command.split()
         assert run(tmp_path, command, config_text, extra) == 2
         assert message in capsys.readouterr().err
+
+
+# every key but [fit] data, which only fit-gain reads, set alone to each
+# value on a small base run of each command that reads the config
+SCAN_KEYS = [(s, k) for s, keys in _DEFAULTS.items() for k in keys if (s, k) != ("fit", "data")]
+SCAN_VALUES = ["nan", "inf", "-inf", "1e308", "1e300", "-1e300", "1e200", "1e-200", "5e-324", "0", "-1"]
+SCAN_BASE = {
+    "detection": {"pulses": "3", "modes": "1"},
+    "mc": {"tau_points": "0.0", "n_freq_bins": "2"},
+    "trace": {"tau_max_ps": "10", "tau_step_ps": "0.5"},
+    "sweep": {"g_values": "7.5", "tau_max_ps": "3", "tau_step_ps": "0.05"},
+}
+
+
+class TestSingleKeyScan:
+    @pytest.mark.parametrize("command", ["calibrate", "trace", "g2", "sweep-gain", "mc"])
+    @pytest.mark.parametrize("value", SCAN_VALUES)
+    @pytest.mark.parametrize("section, key", SCAN_KEYS)
+    def test_finite_csv_or_exit_with_message(self, tmp_path, capsys, section, key, value, command):
+        sections = {s: dict(kv) for s, kv in SCAN_BASE.items()}
+        sections.setdefault(section, {})[key] = value
+        text = "".join(
+            f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for s, kv in sections.items()
+        )
+        code = run(tmp_path, command, text)  # an uncaught exception (exit 1) fails here
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert capsys.readouterr().err.strip()
+        else:
+            (name,) = read_manifest(tmp_path)["outputs"]
+            _, rows = read_csv(tmp_path / name)
+            assert rows and all(math.isfinite(v) for row in rows for v in row)
 
 
 class TestSeedAndThreadsOptions:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from macrohom import fock
 from macrohom.errors import TruncationError, ValidationError
-from macrohom.fock import hom_stats, nrf_single_mode, tmsv
+from macrohom.fock import default_n_max, hom_stats, nrf_single_mode, tmsv
 
 
 class TestTmsv:
@@ -32,9 +33,16 @@ class TestTmsv:
         var_diff = np.sum(p * (n - n) ** 2)
         assert var_diff == 0.0
 
-    def test_truncation_inadequate(self):
-        with pytest.raises(TruncationError):
-            tmsv(1.5, n_max=40)
+    def test_truncation_inadequate(self, monkeypatch):
+        # tanh(1.5)^80 is about 3.4e-4, far above the 1e-10 adequacy bound
+        monkeypatch.setattr(fock, "default_n_max", lambda g: 40)
+        with pytest.raises(TruncationError, match="n_max=40 inadequate"):
+            tmsv(1.5)
+
+    @pytest.mark.parametrize("g", [1e-6, 0.01, 0.2, 0.6, 1.0, 1.5, 2.0, 3.0, 5.0])
+    def test_default_depth_is_adequate(self, g):
+        assert math.tanh(g) ** (2 * default_n_max(g)) < 1e-10
+        assert tmsv(g).n_max == default_n_max(g)
 
     def test_negative_gain(self):
         with pytest.raises(ValidationError):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from macrohom.errors import NumericalError, ValidationError
-from macrohom.gain import calibrate_walkoff
+from macrohom.gain import _half_angle, _v_abs, calibrate_walkoff
 from macrohom.montecarlo import (
+    _QUAD_PER_BIN,
     LatticeSpec,
     derive_seed,
     dip_scan,
@@ -154,6 +155,21 @@ class TestExpectedStats:
     def test_pinned_values(self, crystal, lattice, tau):
         got = expected_stats(crystal, PUMP, small_det(), lattice, tau)
         assert got == pytest.approx(self.PINNED[tau], rel=1e-12)
+
+    @pytest.mark.parametrize("eta", [0.03, 0.4, 1.0])
+    @pytest.mark.parametrize("tau", [0.0, 2.0, 45.0])
+    def test_mean_conserves_photon_number(self, crystal, lattice, eta, tau):
+        # the delay, window rotation, splitters and loss are all passive, so
+        # each detector sees half of eta times the 4 v0^2 twin photons of a
+        # cluster, averaged over the same Gauss-Legendre nodes in every bin
+        det = small_det(eta=eta)
+        x_gl, w_gl = np.polynomial.legendre.leggauss(_QUAD_PER_BIN)
+        dw = lattice.bin_width
+        omega = (np.arange(lattice.n_freq_bins)[:, None] + 0.5 + 0.5 * x_gl) * dw
+        v0 = _v_abs(PUMP.g_peak, _half_angle(omega, crystal))
+        expected = 2.0 * eta * det.m_modes * np.sum(0.5 * w_gl * v0 * v0)
+        mean_s1, _, _ = expected_stats(crystal, PUMP, det, lattice, tau)
+        assert mean_s1 == pytest.approx(expected, rel=1e-12)
 
 
 class TestDipScan:
