@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all macrohom modules.
+"""Exception hierarchy shared by all macrohom modules: MacrohomError and
+its two subclasses, ValidationError and NumericalError.
 
 The CLI maps these onto exit codes: ValidationError -> 2,
 NumericalError -> 3, OSError -> 4.
@@ -10,24 +11,9 @@ class MacrohomError(Exception):
 
 
 class ValidationError(MacrohomError):
-    """Bad parameters, malformed config, or violated preconditions."""
-
-
-class GridResolutionError(ValidationError):
-    """Spectral grid too coarse to resolve the requested delays."""
-
-
-class TruncationError(ValidationError):
-    """Fock-space truncation inadequate for the requested gain."""
+    """Bad parameters, malformed config, or violated preconditions, such as
+    a spectral grid or Fock truncation too coarse for the request."""
 
 
 class NumericalError(MacrohomError):
-    """Bracketing or convergence failure in a numerical routine."""
-
-
-class BracketingError(NumericalError):
-    """A root or crossing could not be bracketed."""
-
-
-class FitError(NumericalError):
-    """Nonlinear fit failed to converge."""
+    """Non-finite result, unbracketed crossing or failed fit."""

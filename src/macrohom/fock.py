@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-from .errors import TruncationError, ValidationError
+from .errors import ValidationError
 
 _ADEQUACY = 1e-10
 _NORM_SLACK = 1e-8
@@ -36,7 +37,11 @@ class TmsvState:
     """Two-mode squeezed vacuum on the |n,n> ladder, truncated at n_max."""
 
     amplitudes: np.ndarray
-    n_max: int
+
+    @property
+    def n_max(self) -> int:
+        """Truncation depth: the largest photon number on the ladder."""
+        return self.amplitudes.size - 1
 
     def mean_photon(self) -> float:
         """Mean photon number per beam; sinh^2(g) up to truncation."""
@@ -78,14 +83,14 @@ def tmsv(g: float) -> TmsvState:
     n_max = default_n_max(g)
     th = math.tanh(g)
     if th > 0 and th ** (2 * n_max) >= _ADEQUACY:
-        raise TruncationError(
+        raise ValidationError(
             f"n_max={n_max} inadequate for g={g}: tanh^(2 n_max) = {th ** (2 * n_max):.3e}"
         )
     n = np.arange(n_max + 1)
     amps = th**n / math.cosh(g)
-    state = TmsvState(amplitudes=amps, n_max=int(n_max))
+    state = TmsvState(amplitudes=amps)
     if state.norm_squared() < 1.0 - _NORM_SLACK:
-        raise TruncationError(
+        raise ValidationError(
             f"truncated norm {state.norm_squared()} below 1 - {_NORM_SLACK}"
         )
     return state
@@ -106,8 +111,6 @@ def _bs_matrix(s: int) -> np.ndarray:
     """
     if s == 0:
         return np.ones((1, 1))
-    from scipy.linalg import eigh_tridiagonal
-
     n = np.arange(s, dtype=float)
     off = -np.sqrt((n + 1.0) * (s - n))
     lam, vec = eigh_tridiagonal(np.zeros(s + 1), off)
@@ -154,7 +157,7 @@ def hom_stats(state: TmsvState, phi: float):
 
     s, prob, e_k, e_k2 = np.array(moments).T
     if abs(prob.sum() - 1.0) > 1e-6:
-        raise TruncationError(f"beamsplitter expansion lost probability: total {prob.sum()}")
+        raise ValidationError(f"beamsplitter expansion lost probability: total {prob.sum()}")
     n = 2.0 * s  # photons in the sector: N1 = K, N2 = n - K
     e_n1, e_n2 = float(e_k.sum()), float(np.sum(n * prob - e_k))
     var_diff = float(np.sum(4.0 * e_k2 - 4.0 * n * e_k + n * n * prob)) - (e_n1 - e_n2) ** 2

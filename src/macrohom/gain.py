@@ -22,7 +22,7 @@ import math
 import numpy as np
 from scipy.optimize import brentq, curve_fit
 
-from .errors import BracketingError, FitError, ValidationError
+from .errors import NumericalError, ValidationError
 from .params import C_NM_PER_PS, CrystalParams, PumpParams, SpectralGrid
 
 _SERIES_CUTOFF = 1e-6
@@ -150,7 +150,7 @@ def _half_max_angle(g: float) -> float:
 
     x_zero = math.sqrt(g * g + math.pi ** 2)
     if not (excess(0.0) > 0.0 > excess(x_zero)):
-        raise BracketingError("half-maximum crossing not bracketed: degenerate input")
+        raise NumericalError("half-maximum crossing not bracketed: degenerate input")
     return brentq(excess, 0.0, x_zero, xtol=1e-15, rtol=8.9e-16)
 
 
@@ -176,7 +176,7 @@ def spectral_fwhm_nm(crystal: CrystalParams, pump: PumpParams) -> float:
     scale = _fwhm_scale(pump)
     dl = crystal.walkoff_slope * crystal.length_mm
     if dl <= 0:
-        raise BracketingError("zero walkoff: spectrum has no finite width")
+        raise NumericalError("zero walkoff: spectrum has no finite width")
     return scale / dl
 
 
@@ -201,7 +201,7 @@ def calibrate_walkoff(
     crystal = CrystalParams(length_mm, _fwhm_scale(pump) / length_mm / target_fwhm_nm)
     achieved = spectral_fwhm_nm(crystal, pump)
     if abs(achieved - target_fwhm_nm) > 1e-3:
-        raise BracketingError(
+        raise NumericalError(
             f"calibration missed the target: achieved {achieved} nm"
         )
     return crystal
@@ -255,6 +255,6 @@ def fit_gain_curve(powers, intensities):
             maxfev=20_000,
         )
     except (RuntimeError, ValueError) as exc:  # ValueError: the model overflows at the start
-        raise FitError(f"gain-curve fit failed: {exc}")
+        raise NumericalError(f"gain-curve fit failed: {exc}")
     c, scale = float(popt[0]), float(popt[1])
     return c, scale

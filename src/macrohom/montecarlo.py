@@ -493,7 +493,10 @@ def wigner_cell_occupancy(
     """
     grid = SpectralGrid.gauss_legendre(lattice.omega_max, 2048)
     n = spectrum(grid, crystal, pump)
-    flux = float(np.sum(grid.weights * n))
+    # the ratio is free of the weights' scale, and at omega_max ~ 1e300
+    # rad/ps the unscaled weights * n * n overflow
+    w = grid.weights / lattice.omega_max
+    flux = float(np.sum(w * n))
     if flux <= 0:
         return 0.0
-    return float(np.sum(grid.weights * n * n)) / flux
+    return float(np.sum(w * n * n)) / flux

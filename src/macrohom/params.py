@@ -83,6 +83,8 @@ class PumpParams:
             )
         if not (self.t_p > 0):
             raise ValidationError(f"pulse duration must be > 0, got {self.t_p}")
+        if not (2.0 * self.sigma_a * self.sigma_a > 0):  # the gain envelope's divisor
+            raise ValidationError(f"pulse duration {self.t_p} ps is too short: sigma^2 underflows")
         if not (self.lambda_deg > 0 and self.lambda_pump > 0):
             raise ValidationError("wavelengths must be > 0")
         if abs(self.lambda_pump - self.lambda_deg / 2.0) > 1e-3 * (self.lambda_deg / 2.0):

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BracketingError, GridResolutionError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .gain import _half_angle, _v_abs, gain_at, omega_max_for, uv_arrays
 from .params import CrystalParams, DetectionModel, PumpParams, SpectralGrid
 
@@ -130,7 +130,7 @@ def _check_resolution(grid: SpectralGrid, tau):
     span = grid.omega_max - float(grid.omega[0])
     needed = 8.0 * span * tau_max / math.pi
     if len(grid) < needed:
-        raise GridResolutionError(
+        raise ValidationError(
             f"grid has {len(grid)} nodes but resolving delays to "
             f"|tau| = {tau_max} ps over a span of {span} rad/ps "
             f"needs at least {int(math.ceil(needed))}"
@@ -251,9 +251,9 @@ def _fwhm(tau, comp) -> float:
     left = np.flatnonzero(below[:i_max])
     right = np.flatnonzero(below[i_max:])
     if left.size == 0:
-        raise BracketingError("left half-maximum crossing not inside the tau grid")
+        raise NumericalError("left half-maximum crossing not inside the tau grid")
     if right.size == 0:
-        raise BracketingError("right half-maximum crossing not inside the tau grid")
+        raise NumericalError("right half-maximum crossing not inside the tau grid")
 
     def cross(i):
         return tau[i] + (half - comp[i]) * (tau[i + 1] - tau[i]) / (comp[i + 1] - comp[i])

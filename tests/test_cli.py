@@ -72,6 +72,10 @@ class TestTraceCommand:
     def test_unknown_key_rejected(self, tmp_path):
         assert run(tmp_path, "trace", "[trace]\nbogus = 1\n") == 2
 
+    def test_missing_section_header_rejected(self, tmp_path, capsys):
+        assert run(tmp_path, "trace", "tau_max_ps = 10\n") == 2
+        assert "malformed config" in capsys.readouterr().err
+
     def test_rerun_is_bit_identical(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -139,6 +143,10 @@ class TestSweepGainCommand:
         assert len(rows) == 1
         assert rows[0][0] == 7.5
 
+    def test_empty_g_values_rejected(self, tmp_path, capsys):
+        assert run(tmp_path, "sweep-gain", "[sweep]\ng_values = ,\n") == 2
+        assert "g_values is empty" in capsys.readouterr().err
+
 
 class TestFitGainCommand:
     def make_data(self, tmp_path, noise=0.0):
@@ -178,6 +186,11 @@ class TestFitGainCommand:
             ("5,1e308\n20,1e308\n55,1e308\n", 3, "gain-curve fit failed"),
             ("5,1\n20,300\n1e300,1e6\n", 3, "gain-curve fit failed"),
             ("1e-300,1\n20,300\n55,1e6\n", 3, "gain-curve fit failed"),
+            ("1,2,3\n2,3\n3,5\n", 2, "expected 2 columns"),
+            ("1,abc\n2,3\n3,5\n", 2, "non-numeric value"),
+            ("0,1\n20,300\n55,1e6\n", 2, "powers must be > 0"),
+            ("5,-1\n20,300\n55,1e6\n", 2, "intensities must be >= 0"),
+            ("5,22.5\n\n20,2119\n55,817254\n", 0, ""),  # blank lines are skipped
         ],
     )
     def test_unfittable_values(self, tmp_path, capsys, rows, code, message):
@@ -345,6 +358,13 @@ class TestNonFiniteInputs:
             ("mc", "[detection]\npulses = 4\n[mc]\nn_freq_bins = 0\n", "at least one frequency bin"),
             ("calibrate", "[pump]\ndegenerate_nm = 1e200\n", "gives no finite width"),
             ("trace", "[pump]\ndegenerate_nm = 1e-200\n", "gives no finite width"),
+            # sigma^2 underflows, so the gain envelope would divide 0 by 0
+            ("trace", "[pump]\npulse_fwhm_ps = 1e-200\n", "pulse duration 1e-200 ps is too short"),
+            (
+                "mc",
+                "[pump]\npulse_fwhm_ps = 1e-200\n[detection]\npulses = 4\n",
+                "pulse duration 1e-200 ps is too short",
+            ),
             (
                 "mc",
                 "[crystal]\nwalkoff_ps_per_mm = 1e308\n[detection]\npulses = 4\n",
@@ -381,6 +401,10 @@ SCAN_BASE = {
 }
 
 
+def reject_constant(name):
+    raise ValueError(f"manifest holds {name}")
+
+
 class TestSingleKeyScan:
     @pytest.mark.parametrize("command", ["calibrate", "trace", "g2", "sweep-gain", "mc"])
     @pytest.mark.parametrize("value", SCAN_VALUES)
@@ -396,7 +420,11 @@ class TestSingleKeyScan:
         if code:
             assert capsys.readouterr().err.strip()
         else:
-            (name,) = read_manifest(tmp_path)["outputs"]
+            # strict JSON: Infinity and NaN are not numbers to other readers
+            manifest = json.loads(
+                (tmp_path / "manifest.json").read_text(), parse_constant=reject_constant
+            )
+            (name,) = manifest["outputs"]
             _, rows = read_csv(tmp_path / name)
             assert rows and all(math.isfinite(v) for row in rows for v in row)
 
@@ -413,10 +441,10 @@ class TestSeedAndThreadsOptions:
 class TestExitCodes:
     def test_numerical_failure_maps_to_3(self, tmp_path, monkeypatch):
         import macrohom.cli as cli
-        from macrohom.errors import BracketingError
+        from macrohom.errors import NumericalError
 
         def boom(config, args):
-            raise BracketingError("no sign change")
+            raise NumericalError("no sign change")
 
         monkeypatch.setitem(cli._COMMANDS, "calibrate", boom)
         assert main(["calibrate", "--out", str(tmp_path)]) == 3

@@ -1,10 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from macrohom import fock
-from macrohom.errors import TruncationError, ValidationError
+from macrohom.errors import ValidationError
 from macrohom.fock import default_n_max, hom_stats, nrf_single_mode, tmsv
 
 
@@ -36,13 +39,15 @@ class TestTmsv:
     def test_truncation_inadequate(self, monkeypatch):
         # tanh(1.5)^80 is about 3.4e-4, far above the 1e-10 adequacy bound
         monkeypatch.setattr(fock, "default_n_max", lambda g: 40)
-        with pytest.raises(TruncationError, match="n_max=40 inadequate"):
+        with pytest.raises(ValidationError, match="n_max=40 inadequate"):
             tmsv(1.5)
 
     @pytest.mark.parametrize("g", [1e-6, 0.01, 0.2, 0.6, 1.0, 1.5, 2.0, 3.0, 5.0])
     def test_default_depth_is_adequate(self, g):
         assert math.tanh(g) ** (2 * default_n_max(g)) < 1e-10
-        assert tmsv(g).n_max == default_n_max(g)
+        state = tmsv(g)
+        assert state.n_max == default_n_max(g)
+        assert state.n_max == state.amplitudes.size - 1
 
     def test_negative_gain(self):
         with pytest.raises(ValidationError):
@@ -120,3 +125,20 @@ class TestHomStats:
         g2_avg = np.mean(n1n2) / np.mean(singles) ** 2
         nbar = math.sinh(g) ** 2
         assert g2_avg == pytest.approx(1.25 + 0.25 / nbar, rel=1e-6)
+
+
+def test_import_loads_no_optimizer_or_sampler():
+    # the oracle needs scipy.linalg only; importing scipy.optimize or the
+    # Monte Carlo with it would add their import time and memory to every
+    # process that only wants the Fock reference
+    src = os.path.dirname(os.path.dirname(fock.__file__))
+    code = (
+        "import sys\n"
+        "from macrohom import fock\n"
+        "print(sorted({'scipy.optimize', 'macrohom.montecarlo'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

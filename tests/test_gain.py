@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from macrohom.errors import BracketingError, FitError, ValidationError
+from macrohom.errors import NumericalError, ValidationError
 from macrohom.gain import (
     _half_angle,
     calibrate_walkoff,
@@ -370,5 +370,5 @@ class TestFitGainCurve:
         ],
     )
     def test_overflowing_model_is_fit_error(self, powers, intens):
-        with pytest.raises(FitError):
+        with pytest.raises(NumericalError, match="gain-curve fit failed"):
             fit_gain_curve(powers, intens)
