@@ -460,6 +460,14 @@ class TestExitCodes:
         assert "half-maximum crossing" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["run.ini"]
 
+    def test_unconverged_half_maximum_maps_to_3(self, tmp_path, capsys):
+        # one of the gains above about 199 where the half-maximum root
+        # solve reaches its iteration cap
+        assert run(tmp_path, "calibrate", "[pump]\ngain = 221.617772929776\n") == 3
+        err = capsys.readouterr().err
+        assert "did not converge" in err and "221.617772929776" in err
+        assert os.listdir(tmp_path) == ["run.ini"]
+
     def test_undefined_ensemble_ratio_maps_to_3(self, tmp_path, capsys):
         # at this seed the electronic noise drives one detector's mean signal
         # below zero, where nrf and g2 are undefined

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from macrohom import gain
 from macrohom.errors import NumericalError, ValidationError
 from macrohom.gain import (
     _half_angle,
@@ -316,6 +320,54 @@ class TestCalibrateWalkoff:
     def test_zero_gain_rejected(self):
         with pytest.raises(ValidationError):
             calibrate_walkoff(1.3, PumpParams(g_peak=0.0, t_p=18.0))
+
+
+class TestBrentPort:
+    """``gain._brentq`` against ``scipy.optimize.brentq``, which it ports:
+    the same root float, or a failure on both sides."""
+
+    @pytest.mark.parametrize("g", [1e-3, 0.5, 5.5, 7.5, 12.0, 100.0, 221.617772929776, 300.0])
+    def test_matches_scipy_on_half_maximum_solve(self, monkeypatch, g):
+        from scipy.optimize import brentq
+
+        calls, real = [], gain._brentq
+
+        def spy(f, a, b, xtol, rtol):  # records the production excess and bracket
+            calls.append((f, a, b, xtol, rtol))
+            return real(f, a, b, xtol, rtol)
+
+        monkeypatch.setattr(gain, "_brentq", spy)
+        try:
+            port = gain._half_max_angle(g)
+        except NumericalError as exc:
+            assert f"gain {g!r}" in str(exc)
+            port = None
+        ((excess, a, b, xtol, rtol),) = calls
+        try:
+            ref = brentq(excess, a, b, xtol=xtol, rtol=rtol)
+        except RuntimeError:  # scipy's "failed to converge"
+            ref = None
+        assert port == ref
+        assert port is None or type(port) is float
+
+
+def test_import_boundary_leaves_scipy_to_the_fit():
+    # only fit-gain (curve_fit) and the Fock oracle need scipy; every other
+    # command would pay about 0.5 s of start-up for importing it
+    src = os.path.dirname(os.path.dirname(gain.__file__))
+    code = (
+        "import sys\n"
+        "import macrohom.cli, macrohom.montecarlo, macrohom.trace, macrohom.config\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "from macrohom.gain import fit_gain_curve\n"
+        "fit_gain_curve([5.0, 20.0, 55.0], [22.5, 2119.0, 817254.0])\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]
 
 
 class TestFitGainCurve:
