@@ -154,24 +154,25 @@ def cmd_sweep_gain(config: RunConfig, args):
 
 
 def _read_fit_csv(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["power_mw", "intensity"]:
-            raise ValidationError(
-                f"{path}: expected header 'power_mw,intensity', got {header}"
-            )
-        powers, intens = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"{path}:{lineno}: expected 2 columns")
-            try:
-                powers.append(float(row[0]))
-                intens.append(float(row[1]))
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: non-numeric value")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: not a readable UTF-8 CSV: {exc}")
+    header = rows[0] if rows else None
+    if header is None or [h.strip() for h in header] != ["power_mw", "intensity"]:
+        raise ValidationError(f"{path}: expected header 'power_mw,intensity', got {header}")
+    powers, intens = [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ValidationError(f"{path}:{lineno}: expected 2 columns")
+        try:
+            powers.append(float(row[0]))
+            intens.append(float(row[1]))
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: non-numeric value")
     return np.array(powers), np.array(intens)
 
 

@@ -70,6 +70,8 @@ def _parse_floats(section, key, raw):
         values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ValidationError(f"[{section}] {key}: expected comma-separated numbers")
+    if not values:
+        raise ValidationError(f"[{section}] {key} is empty")
     if not all(math.isfinite(v) for v in values):
         raise ValidationError(f"[{section}] {key}: values must be finite, got {raw!r}")
     return values
@@ -89,7 +91,7 @@ class RunConfig:
             try:
                 with open(path, "r", encoding="utf-8") as fh:
                     parser.read_file(fh)
-            except configparser.Error as exc:
+            except (configparser.Error, UnicodeDecodeError) as exc:
                 raise ValidationError(f"malformed config {path}: {exc}")
             for section in parser.sections():
                 if section not in merged:
@@ -164,16 +166,10 @@ class RunConfig:
         return tau
 
     def sweep_gains(self):
-        values = _parse_floats("sweep", "g_values", self.raw["sweep"]["g_values"])
-        if not values:
-            raise ValidationError("[sweep] g_values is empty")
-        return values
+        return _parse_floats("sweep", "g_values", self.raw["sweep"]["g_values"])
 
     def mc_tau_points(self):
-        values = _parse_floats("mc", "tau_points", self.raw["mc"]["tau_points"])
-        if not values:
-            raise ValidationError("[mc] tau_points is empty")
-        return values
+        return _parse_floats("mc", "tau_points", self.raw["mc"]["tau_points"])
 
     def mc_freq_bins(self) -> int:
         return _parse_int("mc", "n_freq_bins", self.raw["mc"]["n_freq_bins"])

@@ -43,27 +43,6 @@ class TmsvState:
         """Truncation depth: the largest photon number on the ladder."""
         return self.amplitudes.size - 1
 
-    def mean_photon(self) -> float:
-        """Mean photon number per beam; sinh^2(g) up to truncation."""
-        n = np.arange(self.n_max + 1)
-        return float(np.sum(n * self.amplitudes**2))
-
-    def norm_squared(self) -> float:
-        return float(np.sum(self.amplitudes**2))
-
-    def twin_g2(self) -> float:
-        """Cross-correlation <n1 n2>/(<n1><n2>) of the twin beams themselves.
-
-        On the ladder n1 = n2, so this is <n^2>/<n>^2 = 2 + 1/<n>: the
-        correlation that survives at large delay, before any splitting.
-        """
-        n = np.arange(self.n_max + 1)
-        p = self.amplitudes**2
-        mean = float(np.sum(n * p))
-        if mean == 0.0:
-            raise ValidationError("vacuum state has no twin correlation")
-        return float(np.sum(n * n * p)) / mean**2
-
 
 def default_n_max(g: float) -> int:
     """Truncation depth: generous photon-number head room plus the
@@ -88,12 +67,10 @@ def tmsv(g: float) -> TmsvState:
         )
     n = np.arange(n_max + 1)
     amps = th**n / math.cosh(g)
-    state = TmsvState(amplitudes=amps)
-    if state.norm_squared() < 1.0 - _NORM_SLACK:
-        raise ValidationError(
-            f"truncated norm {state.norm_squared()} below 1 - {_NORM_SLACK}"
-        )
-    return state
+    norm = float(np.sum(amps**2))
+    if norm < 1.0 - _NORM_SLACK:
+        raise ValidationError(f"truncated norm {norm} below 1 - {_NORM_SLACK}")
+    return TmsvState(amplitudes=amps)
 
 
 @lru_cache(maxsize=None)

@@ -29,8 +29,9 @@ _SERIES_CUTOFF = 1e-6
 # |v(omega_max, 0)|^2 must fall below this fraction of |v(0,0)|^2
 TAIL_CUTOFF = 1e-6
 
-# iteration cap of the half-maximum root solve, scipy.optimize.brentq's default
-_BRENT_MAXITER = 100
+# iteration cap of the half-maximum root solve: twice scipy.optimize.brentq's
+# default of 100, at which some gains above about 197 do not converge
+_BRENT_MAXITER = 200
 
 
 def gain_at(t, pump: PumpParams):

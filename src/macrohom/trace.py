@@ -137,49 +137,43 @@ def _check_resolution(grid: SpectralGrid, tau):
         )
 
 
-def _trace_values(tau, crystal, pump, grid):
-    """Shared quadrature core: the (pedestal, nrf) values, building each
+def nrf_and_pedestal(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: SpectralGrid):
+    """The variance trace and its pedestal, (nrf, pedestal), building each
     chunk's pedestal sum once for both.  The integrand depends on tau only
     through tau^2 (in G(tau)) and cos(2 w tau), so the kernel runs once per
-    distinct |tau| and both traces are expanded back onto ``tau``."""
-    tau = np.asarray(tau, dtype=float)
+    distinct |tau| of ``tau_grid`` and both traces are expanded back onto
+    it: both are even by construction."""
+    tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or tau.size == 0:
         raise ValidationError("tau grid must be a nonempty 1-d sequence")
     _check_resolution(grid, tau)
 
     if pump.g_peak == 0.0:
         # vacuum in, shot noise out: 0/0 resolved to the physical limit
-        return np.ones_like(tau), np.ones_like(tau)
+        pedestal, nrf = np.ones((2, tau.size))
+    else:
+        omega = grid.omega
+        u0, v0 = uv_arrays(omega, 0.0, crystal, pump)
+        v0sq = v0 * v0
+        coef = grid.weights * v0sq
+        denom = float(np.sum(coef))
+        interf_coef = coef * (u0.real**2 - u0.imag**2)  # w * v0^2 * Re(u0^2)
 
-    omega = grid.omega
-    u0, v0 = uv_arrays(omega, 0.0, crystal, pump)
-    v0sq = v0 * v0
-    coef = grid.weights * v0sq
-    denom = float(np.sum(coef))
-    interf_coef = coef * (u0.real**2 - u0.imag**2)  # w * v0^2 * Re(u0^2)
+        x = _half_angle(omega, crystal)
+        abs_tau, back = np.unique(np.abs(tau), return_inverse=True)
+        g_tau = gain_at(abs_tau, pump)
 
-    x = _half_angle(omega, crystal)
-    abs_tau, back = np.unique(np.abs(tau), return_inverse=True)
-    g_tau = gain_at(abs_tau, pump)
-
-    pedestal, nrf = np.empty((2, abs_tau.size))
-    for lo in range(0, abs_tau.size, _TAU_CHUNK):
-        hi = min(lo + _TAU_CHUNK, abs_tau.size)
-        ped_sum = _v_abs(g_tau[lo:hi][:, None], x) ** 2 @ coef
-        pedestal[lo:hi] = 1.0 + ped_sum / denom
-        osc = np.cos(2.0 * np.outer(abs_tau[lo:hi], omega))
-        nrf[lo:hi] = 1.0 + (ped_sum + osc @ interf_coef) / denom
-    return pedestal[back], nrf[back]
-
-
-def nrf_and_pedestal(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: SpectralGrid):
-    """The variance trace and its pedestal, (nrf, pedestal), from one kernel
-    pass over the distinct |tau| of ``tau_grid``: both are even by
-    construction."""
-    ped, nrf = _trace_values(tau_grid, crystal, pump, grid)
+        pedestal, nrf = np.empty((2, abs_tau.size))
+        for lo in range(0, abs_tau.size, _TAU_CHUNK):
+            hi = min(lo + _TAU_CHUNK, abs_tau.size)
+            ped_sum = _v_abs(g_tau[lo:hi][:, None], x) ** 2 @ coef
+            pedestal[lo:hi] = 1.0 + ped_sum / denom
+            osc = np.cos(2.0 * np.outer(abs_tau[lo:hi], omega))
+            nrf[lo:hi] = 1.0 + (ped_sum + osc @ interf_coef) / denom
+        pedestal, nrf = pedestal[back], nrf[back]
     return (
-        Trace(tau=tau_grid, value=nrf, kind="nrf_ideal"),
-        Trace(tau=tau_grid, value=ped, kind="nrf_pedestal"),
+        Trace(tau=tau, value=nrf, kind="nrf_ideal"),
+        Trace(tau=tau, value=pedestal, kind="nrf_pedestal"),
     )
 
 

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from macrohom import gain
 from macrohom.cli import main
 from macrohom.config import _DEFAULTS
 from macrohom.gain import calibrate_walkoff
@@ -75,6 +76,12 @@ class TestTraceCommand:
     def test_missing_section_header_rejected(self, tmp_path, capsys):
         assert run(tmp_path, "trace", "tau_max_ps = 10\n") == 2
         assert "malformed config" in capsys.readouterr().err
+
+    def test_non_utf8_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(b"[trace]\ntau_max_ps = 10\xff\n")
+        assert main(["trace", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert f"malformed config {cfg}: 'utf-8' codec" in capsys.readouterr().err
 
     def test_rerun_is_bit_identical(self, tmp_path):
         out_a = tmp_path / "a"
@@ -191,11 +198,13 @@ class TestFitGainCommand:
             ("0,1\n20,300\n55,1e6\n", 2, "powers must be > 0"),
             ("5,-1\n20,300\n55,1e6\n", 2, "intensities must be >= 0"),
             ("5,22.5\n\n20,2119\n55,817254\n", 0, ""),  # blank lines are skipped
+            ("5,22.5\xb5\n20,2119\n55,817254\n", 2, "data.csv: not a readable UTF-8 CSV"),
+            ("5," + "1" * 131073 + "\n20,2119\n55,817254\n", 2, "data.csv: not a readable UTF-8 CSV"),
         ],
     )
     def test_unfittable_values(self, tmp_path, capsys, rows, code, message):
         path = tmp_path / "data.csv"
-        path.write_text("power_mw,intensity\n" + rows)
+        path.write_text("power_mw,intensity\n" + rows, encoding="latin-1")  # \xb5 is not UTF-8
         assert run(tmp_path, "fit-gain", f"[fit]\ndata = {path}\n") == code
         assert message in capsys.readouterr().err
 
@@ -220,6 +229,13 @@ class TestCalibrateCommand:
 
     def test_zero_gain_rejected(self, tmp_path):
         assert run(tmp_path, "calibrate", "[pump]\ngain = 0.0\n") == 2
+
+    def test_high_gain_half_maximum_converges(self, tmp_path):
+        # this gain needs more than 100 iterations of the half-maximum solve
+        assert run(tmp_path, "calibrate", "[pump]\ngain = 221.617772929776\n") == 0
+        summary = read_manifest(tmp_path)["summary"]
+        assert summary["walkoff_ps_per_mm"] == pytest.approx(1.0204769548090022, rel=1e-12)
+        assert summary["achieved_fwhm_nm"] == pytest.approx(1.3, rel=1e-12)
 
     def test_reads_crystal_section(self, tmp_path):
         cfg = "[crystal]\nlength_mm = 5.0\ncalibration_fwhm_nm = 2.0\n"
@@ -460,9 +476,10 @@ class TestExitCodes:
         assert "half-maximum crossing" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["run.ini"]
 
-    def test_unconverged_half_maximum_maps_to_3(self, tmp_path, capsys):
-        # one of the gains above about 199 where the half-maximum root
-        # solve reaches its iteration cap
+    def test_unconverged_half_maximum_maps_to_3(self, tmp_path, capsys, monkeypatch):
+        # at scipy's default cap of 100 iterations the half-maximum root
+        # solve does not converge at this gain
+        monkeypatch.setattr(gain, "_BRENT_MAXITER", 100)
         assert run(tmp_path, "calibrate", "[pump]\ngain = 221.617772929776\n") == 3
         err = capsys.readouterr().err
         assert "did not converge" in err and "221.617772929776" in err

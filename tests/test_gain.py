@@ -344,7 +344,7 @@ class TestBrentPort:
             port = None
         ((excess, a, b, xtol, rtol),) = calls
         try:
-            ref = brentq(excess, a, b, xtol=xtol, rtol=rtol)
+            ref = brentq(excess, a, b, xtol=xtol, rtol=rtol, maxiter=gain._BRENT_MAXITER)
         except RuntimeError:  # scipy's "failed to converge"
             ref = None
         assert port == ref

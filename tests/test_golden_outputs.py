@@ -1,11 +1,13 @@
-"""Golden CLI outputs: the CSV each of the six commands writes at a small
+"""Golden CLI outputs: the CSV and the manifest's ``resolved`` and
+``summary`` blocks that each of the six commands writes at a small
 configuration, pinned in ``golden_outputs.json``.
 
-Sampled rows are compared at rel 1e-10 everywhere.  The sha256 of each
-CSV is compared only where the environment recorded with the file
-(numpy and its SIMD targets, scipy, the BLAS and its thread count)
-matches this one: another libm, BLAS or thread count may move the last
-bits of a value without any change to the code.
+Sampled rows and manifest numbers are compared at rel 1e-10 everywhere,
+other manifest values exactly; path values such as ``fit.data`` are not
+recorded.  The sha256 of each CSV is compared only where the environment
+recorded with the file (numpy and its SIMD targets, scipy, the BLAS and
+its thread count) matches this one: another libm, BLAS or thread count
+may move the last bits of a value without any change to the code.
 
 A change that alters an output on purpose regenerates the file with
 
@@ -27,6 +29,8 @@ GOLDEN = os.path.join(HERE, "golden_outputs.json")
 FIT_DATA = os.path.join(HERE, "data", "gain_curve.csv")
 SAMPLED_ROWS = 20  # about this many, plus the last row
 REL = 1e-10
+MANIFEST_BLOCKS = ("resolved", "summary")
+PATH_KEYS = {("resolved", "fit", "data")}  # depend on where the tests live
 
 # command -> (config text, extra arguments); trace, g2 and calibrate run at
 # the reference defaults
@@ -64,7 +68,7 @@ def environment():
 
 def run_command(command, out_dir):
     """Run ``command`` into ``out_dir``; return its CSV's name, header,
-    rows of floats and sha256."""
+    rows of floats, sha256 and manifest blocks."""
     from macrohom.cli import main
 
     text, extra = RUNS[command]
@@ -73,12 +77,37 @@ def run_command(command, out_dir):
         fh.write(text)
     assert main([command, "--config", cfg, "--out", str(out_dir), *extra]) == 0
     with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
-        (name,) = json.load(fh)["outputs"]
+        manifest = json.load(fh)
+    (name,) = manifest["outputs"]
     with open(os.path.join(out_dir, name), "rb") as fh:
         data = fh.read()
     header, *lines = data.decode("utf-8").splitlines()
     rows = [[float(v) for v in line.split(",")] for line in lines]
-    return name, header.split(","), rows, hashlib.sha256(data).hexdigest()
+    blocks = without_paths({key: manifest[key] for key in MANIFEST_BLOCKS})
+    return name, header.split(","), rows, hashlib.sha256(data).hexdigest(), blocks
+
+
+def without_paths(tree, prefix=()):
+    """``tree`` with the values at ``PATH_KEYS`` removed."""
+    if not isinstance(tree, dict):
+        return tree
+    return {
+        key: without_paths(value, prefix + (key,))
+        for key, value in tree.items()
+        if prefix + (key,) not in PATH_KEYS
+    }
+
+
+def assert_same_tree(got, want, where="manifest"):
+    """Equal keys; numbers equal at rel ``REL``, other values exactly."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            assert_same_tree(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert type(got) is type(want) and got == pytest.approx(want, rel=REL, abs=0), where
+    else:
+        assert got == want, where
 
 
 def sampled(n):
@@ -92,13 +121,14 @@ def regenerate():
         for command in RUNS:
             out = os.path.join(tmp, command)
             os.mkdir(out)
-            name, header, rows, digest = run_command(command, out)
+            name, header, rows, digest, blocks = run_command(command, out)
             record["runs"][command] = {
                 "csv": name,
                 "header": header,
                 "rows": len(rows),
                 "sha256": digest,
                 "sample": [[i, rows[i]] for i in sampled(len(rows))],
+                "manifest": blocks,
             }
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
@@ -114,10 +144,11 @@ def golden():
 @pytest.mark.parametrize("command", list(RUNS))
 def test_csv_matches_golden(tmp_path, golden, command):
     want = golden["runs"][command]
-    name, header, rows, digest = run_command(command, tmp_path)
+    name, header, rows, digest, blocks = run_command(command, tmp_path)
     assert (name, header, len(rows)) == (want["csv"], want["header"], want["rows"])
     for i, values in want["sample"]:
         assert rows[i] == pytest.approx(values, rel=REL, abs=0), f"row {i}"
+    assert_same_tree(blocks, want["manifest"])
     env = environment()
     if env != golden["environment"]:
         pytest.skip(f"sha256 not compared: environment {env} is not the recorded {golden['environment']}")
