@@ -12,9 +12,19 @@ system: the tensor square of the ladder state.
 Everything is expanded exactly in photon-number sectors.  Both splitters
 share the sector total s = n + m, so the joint output amplitude is a sum
 of outer products of beamsplitter matrices, and photon-number moments
-follow by direct summation.  Memory peaks at O(n_max^2) complex numbers
-per sector.  Intended for desk-scale gains (g <= 1.5 or so); the
-macroscopic regime belongs to the Gaussian model this oracle validates.
+follow by direct summation.
+
+The splitter matrix of sector s is built from that of sector s - 1 by
+splitting one photon off (the half-step D-function recursion of Risbo,
+J. Geodesy 70, 1996, at the 50:50 angle): real arithmetic, O(s^2) per
+sector, and orthogonal to 1e-13 at s = 800, because every step composes
+the orthogonal one-photon splitter with weights <= 1.  The closed-form
+binomial sums and the column recurrence, which divides by sqrt(n), both
+lose all precision by s ~ 100-200.  The cached sectors hold sum (s+1)^2
+float64 values, 35 MB up to g = 1.5; ``hom_stats`` refuses a state whose
+sectors would exceed 2^27 values (gains above about 2.08).  Intended for
+desk-scale gains (g <= 1.5 or so); the macroscopic regime belongs to the
+Gaussian model this oracle validates.
 """
 
 from __future__ import annotations
@@ -24,12 +34,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ValidationError
 
 _ADEQUACY = 1e-10
 _NORM_SLACK = 1e-8
+# float64 values the cached splitter sectors may hold; the same cap as the
+# Monte Carlo working set (montecarlo._MAX_FLOATS), 1 GiB
+_MAX_FLOATS = 2**27
 
 
 @dataclass(frozen=True)
@@ -81,20 +93,61 @@ def _bs_matrix(s: int) -> np.ndarray:
     out1 = (in1 + in2)/sqrt(2), out2 = (-in1 + in2)/sqrt(2), i.e. the
     sector representation of exp(theta (a1+ a2 - a2+ a1)) at theta = pi/4.
 
-    Built from the eigendecomposition of the (gauge-rotated, real
-    symmetric tridiagonal) generator.  Direct binomial sums and column
-    recurrences both lose all precision by s ~ 100-200; this route keeps
-    the matrix orthogonal to near machine precision at any sector size.
+    On the s-photon sector the splitter acts as U^(x s), and splitting one
+    photon off, |k, s-k> = sqrt(k/s) |1>(x)|k-1, s-k> + sqrt((s-k)/s)
+    |2>(x)|k, s-k-1>, gives
+
+        B_s[k, n] = sum_{a,b} c_s(k, a) c_s(n, b) B_1[a, b] B_{s-1}[k-a, n-b]
+
+    with c_s(k, 1) = sqrt(k/s) and c_s(k, 0) = sqrt((s-k)/s): four shifted,
+    weighted copies of the previous sector, O(s^2) real work per sector.
+    Each step composes the orthogonal one-photon splitter with the
+    (s-1)-photon sector through an isometric embedding whose weights are
+    <= 1, so rounding errors only add up, one ulp-sized term per step.
+    Direct binomial sums cancel terms of size C(s, k), and the column
+    recurrence divides by sqrt(n); both lose all precision by s ~ 100-200.
+    Measured: ||B B^T - I||_max is at most 3.4e-14 for s <= 234 and
+    1.1e-13 at s = 800, and B agrees with the eigendecomposition of the
+    generator to 1.2e-14 for s <= 234.
+
+    A cold call builds every missing sector in a loop, upwards from the
+    highest cached one.  Sectors are only ever built in that order, so the
+    cache holds exactly sectors 0 .. currsize - 1.
     """
     if s == 0:
         return np.ones((1, 1))
-    n = np.arange(s, dtype=float)
-    off = -np.sqrt((n + 1.0) * (s - n))
-    lam, vec = eigh_tridiagonal(np.zeros(s + 1), off)
-    phase = (1j) ** np.arange(s + 1)
-    m = vec * np.exp(-1j * (math.pi / 4.0) * lam)[None, :]
-    b = np.conj(phase)[:, None] * (m @ vec.T) * phase[None, :]
-    return np.ascontiguousarray(b.real)
+    for t in range(_bs_matrix.cache_info().currsize, s):
+        _bs_matrix(t)  # each finds its predecessor cached: no deep recursion
+    prev = _bs_matrix(s - 1)
+    n = np.arange(s + 1, dtype=float)
+    c0, c1 = np.sqrt((s - n[:s]) / s), np.sqrt(n[1:] / s)
+    # rows: the split-off photon leaves in mode 2 (lo) or in mode 1 (hi)
+    lo = np.zeros((s + 1, s))
+    hi = np.zeros((s + 1, s))
+    np.multiply(c0[:, None], prev, out=lo[:s])
+    np.multiply(c1[:, None], prev, out=hi[1:])
+    # columns: it entered in mode 2 or in mode 1; B_1 = [[1, -1], [1, 1]]/sqrt(2)
+    b = np.zeros((s + 1, s + 1))
+    np.multiply(hi + lo, c0 * math.sqrt(0.5), out=b[:, :s])
+    hi -= lo
+    hi *= c1 * math.sqrt(0.5)
+    b[:, 1:] += hi
+    return b
+
+
+def _sector_floats(n_max: int) -> int:
+    """float64 values in the splitter sectors 0 .. 2 n_max: sum of (s+1)^2."""
+    top = 2 * n_max + 1
+    return top * (top + 1) * (2 * top + 1) // 6
+
+
+def _largest_fitting_gain() -> float:
+    """The largest gain, in steps of 0.001, whose default truncation keeps
+    the sectors within ``_MAX_FLOATS``."""
+    milli = 0
+    while _sector_floats(default_n_max((milli + 1) / 1000)) <= _MAX_FLOATS:
+        milli += 1
+    return milli / 1000
 
 
 def hom_stats(state: TmsvState, phi: float):
@@ -110,6 +163,12 @@ def hom_stats(state: TmsvState, phi: float):
     c = state.amplitudes
     n_max = state.n_max
     half = 0.5 * phi
+    floats = _sector_floats(n_max)
+    if floats > _MAX_FLOATS:
+        raise ValidationError(
+            f"splitter sectors up to {2 * n_max} photons need {floats:.3g} float64 values, "
+            f"above the cap of {_MAX_FLOATS}; gains up to {_largest_fitting_gain()} fit"
+        )
 
     # per sector s: the probability and the first two moments of beam 1's
     # output count K = k1 + k2 (its counts at the +Omega and -Omega

@@ -241,6 +241,14 @@ def _ensemble_floats(det: DetectionModel, lattice: LatticeSpec) -> int:
     return floats
 
 
+def _check_delay(tau: float, pump: PumpParams):
+    """Raises unless |tau| <= 6 sigma_a, where the pump envelope ends."""
+    if not (abs(tau) <= 6.0 * pump.sigma_a):  # NaN fails too
+        raise ValidationError(
+            f"delay {tau} ps outside 6 sigma = {6.0 * pump.sigma_a} ps of the pump envelope"
+        )
+
+
 def simulate_ensemble(
     crystal: CrystalParams,
     pump: PumpParams,
@@ -251,11 +259,7 @@ def simulate_ensemble(
 ) -> EnsembleStats:
     """Simulate ``det.n_pulses`` pulses at a single delay and form the
     twin-signal estimators with jackknife standard errors."""
-    if not (abs(tau) <= 6.0 * pump.sigma_a):  # NaN fails too
-        raise ValidationError(
-            f"delay {tau} ps outside 6 sigma = {6.0 * pump.sigma_a} ps of the pump envelope"
-        )
-
+    _check_delay(tau, pump)
     n_pulses = det.n_pulses
     m = det.m_modes
     k = lattice.n_freq_bins
@@ -351,11 +355,14 @@ def dip_scan(
     ``threads`` > 1 runs the delays in a thread pool (numpy's generators
     release the GIL); each delay keeps its own seed, so the results are
     identical for every thread count.  The working-set cap covers all
-    ensembles that run at once and is checked before the first starts.
+    ensembles that run at once; it and every delay's 6 sigma bound are
+    checked before the first ensemble starts.
     """
     if threads < 1:
         raise ValidationError(f"thread count must be >= 1, got {threads}")
     taus = [float(tau) for tau in np.asarray(tau_grid, dtype=float)]
+    for tau in taus:
+        _check_delay(tau, pump)
     floats = _ensemble_floats(det, lattice)
     running = min(threads, len(taus))
     if running * floats > _MAX_FLOATS:

@@ -493,6 +493,17 @@ class TestExitCodes:
         assert "mean signals must be > 0" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["run.ini"]
 
+    def test_bad_last_delay_fails_before_any_ensemble(self, tmp_path, capsys, monkeypatch):
+        from macrohom import montecarlo
+
+        calls = []
+        monkeypatch.setattr(montecarlo, "simulate_ensemble", lambda *a: calls.append(a))
+        cfg = "[detection]\npulses = 3000\n[mc]\ntau_points = 0.0, 0.5, 1.0, 2.5, 70.0\n"
+        assert run(tmp_path, "mc", cfg) == 2
+        assert calls == []
+        assert "delay 70.0 ps outside 6 sigma" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.ini"]
+
     def test_io_failure_maps_to_4(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("not a directory")

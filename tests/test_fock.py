@@ -135,15 +135,98 @@ class TestHomStats:
         assert g2_avg == pytest.approx(1.25 + 0.25 / nbar, rel=1e-6)
 
 
+def binomial_bs_matrix(s):
+    """The splitter's sector matrix from its closed form: with
+    a1+ -> (a1+ - a2+)/sqrt(2) and a2+ -> (a1+ + a2+)/sqrt(2),
+    B[k, n] = 2^(-s/2) sqrt(k! (s-k)! / (n! (s-n)!))
+              * sum_i C(n, i) C(s-n, k-i) (-1)^(n-i)."""
+    b = np.empty((s + 1, s + 1))
+    for k in range(s + 1):
+        for n in range(s + 1):
+            total = sum(
+                math.comb(n, i) * math.comb(s - n, k - i) * (-1) ** (n - i)
+                for i in range(max(0, k - s + n), min(n, k) + 1)
+            )
+            ratio = math.factorial(k) * math.factorial(s - k)
+            ratio /= math.factorial(n) * math.factorial(s - n)
+            b[k, n] = total * math.sqrt(ratio) * 0.5 ** (s / 2)
+    return b
+
+
+def eigen_bs_matrix(s):
+    """The splitter's sector matrix from the eigendecomposition of its
+    gauge-rotated real symmetric tridiagonal generator."""
+    from scipy.linalg import eigh_tridiagonal
+
+    n = np.arange(s, dtype=float)
+    lam, vec = eigh_tridiagonal(np.zeros(s + 1), -np.sqrt((n + 1.0) * (s - n)))
+    phase = (1j) ** np.arange(s + 1)
+    m = vec * np.exp(-1j * (math.pi / 4.0) * lam)[None, :]
+    return (np.conj(phase)[:, None] * (m @ vec.T) * phase[None, :]).real
+
+
+@pytest.fixture
+def cold_splitter():
+    # start from an empty cache and leave an empty one behind: the 600-photon build
+    # caches about 580 MB
+    fock._bs_matrix.cache_clear()
+    yield fock._bs_matrix
+    fock._bs_matrix.cache_clear()
+
+
+class TestBsMatrix:
+    @pytest.mark.parametrize("s", range(13))
+    def test_binomial_closed_form(self, s):
+        np.testing.assert_allclose(fock._bs_matrix(s), binomial_bs_matrix(s), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("s", [50, 117, 234])
+    def test_eigendecomposition(self, s):
+        np.testing.assert_allclose(fock._bs_matrix(s), eigen_bs_matrix(s), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 117, 234])
+    def test_orthogonal(self, s):
+        b = fock._bs_matrix(s)
+        np.testing.assert_allclose(b @ b.T, np.eye(s + 1), rtol=0, atol=1e-12)
+
+    def test_cold_large_sector(self, cold_splitter):
+        # built in a loop from the highest cached sector, not by recursion
+        b = cold_splitter(600)
+        assert cold_splitter.cache_info().currsize == 601
+        np.testing.assert_allclose(b @ b.T, np.eye(601), rtol=0, atol=1e-12)
+
+
+class TestMemoryGuard:
+    def test_cap_matches_monte_carlo(self):
+        from macrohom import montecarlo
+
+        assert fock._MAX_FLOATS == montecarlo._MAX_FLOATS
+
+    def test_sector_floats(self):
+        for n_max in (0, 1, 7, 117):
+            expected = sum((s + 1) ** 2 for s in range(2 * n_max + 1))
+            assert fock._sector_floats(n_max) == expected
+
+    def test_refuses_before_building(self):
+        before = fock._bs_matrix.cache_info().currsize
+        with pytest.raises(ValidationError, match=r"gains up to 2\.077 fit"):
+            hom_stats(tmsv(3.0), 0.0)
+        assert fock._bs_matrix.cache_info().currsize == before
+
+    def test_named_gain_is_the_largest_that_fits(self):
+        fits = fock._sector_floats(default_n_max(2.077))
+        assert fits <= fock._MAX_FLOATS < fock._sector_floats(default_n_max(2.078))
+
+
 def test_import_loads_no_optimizer_or_sampler():
-    # the oracle needs scipy.linalg only; importing scipy.optimize or the
-    # Monte Carlo with it would add their import time and memory to every
-    # process that only wants the Fock reference
+    # the oracle needs numpy only; importing scipy or the Monte Carlo with
+    # it would add their import time and memory to every process that only
+    # wants the Fock reference
     src = os.path.dirname(os.path.dirname(fock.__file__))
     code = (
         "import sys\n"
         "from macrohom import fock\n"
-        "print(sorted({'scipy.optimize', 'macrohom.montecarlo'} & set(sys.modules)))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')\n"
+        "             or m == 'macrohom.montecarlo'))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(

@@ -352,8 +352,8 @@ class TestBrentPort:
 
 
 def test_import_boundary_leaves_scipy_to_the_fit():
-    # only fit-gain (curve_fit) and the Fock oracle need scipy; every other
-    # command would pay about 0.5 s of start-up for importing it
+    # only fit-gain (curve_fit) needs scipy; every other command would pay
+    # about 0.5 s of start-up for importing it
     src = os.path.dirname(os.path.dirname(gain.__file__))
     code = (
         "import sys\n"
