@@ -226,6 +226,7 @@ def cmd_mc(config: RunConfig, args):
         "bin_width_rad_per_ps": lattice.bin_width,
     }
     resolved["seed"] = args.seed
+    resolved["rng"] = montecarlo.RNG_STREAM
     summary = {
         "n_pulses": det.n_pulses,
         "wigner_cell_occupancy": montecarlo.wigner_cell_occupancy(crystal, pump, lattice),

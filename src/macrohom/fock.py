@@ -62,17 +62,25 @@ def default_n_max(g: float) -> int:
     if g == 0.0:
         return 32
     th = math.tanh(g)
+    if not 0.0 < th < 1.0:  # NaN, or tanh rounded to 1 (g above about 19) where log(th) = 0
+        raise ValidationError(f"no truncation depth gives tanh(g)^(2 n) < {_ADEQUACY} at gain {g}")
     n_adequate = int(math.ceil(math.log(_ADEQUACY) / (2.0 * math.log(th)))) + 1
     return max(32, int(math.ceil(12.0 * math.sinh(g) ** 2)), n_adequate)
 
 
 def tmsv(g: float) -> TmsvState:
     """Two-mode squeezed vacuum with gain g, amplitudes tanh^n(g)/cosh(g),
-    truncated at :func:`default_n_max`."""
-    if g < 0:
+    truncated at :func:`default_n_max`.  Refuses, before it allocates, a
+    ladder of more than ``_MAX_FLOATS`` values (gains above 8.482)."""
+    if not g >= 0:  # NaN fails too
         raise ValidationError(f"gain must be >= 0, got {g}")
-    n_max = default_n_max(g)
     th = math.tanh(g)
+    n_max = default_n_max(g) if th < 1.0 else math.inf
+    if n_max + 1 > _MAX_FLOATS:
+        raise ValidationError(
+            f"the |n,n> ladder at gain {g} needs more than {_MAX_FLOATS} float64 values; "
+            f"gains up to {_largest_fitting_gain(lambda top: top + 1)} fit"
+        )
     if th > 0 and th ** (2 * n_max) >= _ADEQUACY:
         raise ValidationError(
             f"n_max={n_max} inadequate for g={g}: tanh^(2 n_max) = {th ** (2 * n_max):.3e}"
@@ -141,11 +149,11 @@ def _sector_floats(n_max: int) -> int:
     return top * (top + 1) * (2 * top + 1) // 6
 
 
-def _largest_fitting_gain() -> float:
-    """The largest gain, in steps of 0.001, whose default truncation keeps
-    the sectors within ``_MAX_FLOATS``."""
+def _largest_fitting_gain(floats) -> float:
+    """The largest gain, in steps of 0.001, whose default truncation n_max
+    keeps ``floats(n_max)`` within ``_MAX_FLOATS``."""
     milli = 0
-    while _sector_floats(default_n_max((milli + 1) / 1000)) <= _MAX_FLOATS:
+    while floats(default_n_max((milli + 1) / 1000)) <= _MAX_FLOATS:
         milli += 1
     return milli / 1000
 
@@ -167,7 +175,7 @@ def hom_stats(state: TmsvState, phi: float):
     if floats > _MAX_FLOATS:
         raise ValidationError(
             f"splitter sectors up to {2 * n_max} photons need {floats:.3g} float64 values, "
-            f"above the cap of {_MAX_FLOATS}; gains up to {_largest_fitting_gain()} fit"
+            f"above the cap of {_MAX_FLOATS}; gains up to {_largest_fitting_gain(_sector_floats)} fit"
         )
 
     # per sector s: the probability and the first two moments of beam 1's

@@ -33,9 +33,11 @@ splitter and the window/complement rotation instead of after them.  Both
 are passive unitaries, which map i.i.d. vacuum onto i.i.d. vacuum, so
 the detected modes keep their joint distribution; the window and
 complement vacua stay vacua under the loss, so only the four twin modes
-draw loss vacua.  That leaves 14 complex vacuum inputs, 28 real normals,
-per cluster.  The detector modes are never formed: for each splitter
-input pair (x, y)
+draw loss vacua.  The -Omega pair's top-up vacua each enter one twin
+mode only, a1- and a2+, as that mode's loss vacuum does, so each merges
+with it into one vacuum of variance eta tc^2 + 1 - eta.  That leaves 12
+complex vacuum inputs, 24 real normals, per cluster.  The detector modes
+are never formed: for each splitter input pair (x, y)
 
     S1 + S2 = sum |x|^2 + |y|^2 - 1/2 per mode,   S1 - S2 = 2 sum Re(x y*),
 
@@ -46,10 +48,11 @@ Per-pulse signals are summed over all cells; the ensemble estimators and
 their jackknife standard errors follow the measured definitions
 NRF = Var(S1 - S2)/<S1 + S2> and g2 = <S1 S2>/(<S1><S2>).
 
-Reproducibility: draws come from counter-based Philox streams keyed by
-(seed, chunk index) over fixed-size pulse chunks, so results are
-bit-identical for a given seed regardless of scheduling; scan points
-derive child seeds from (seed, point index).
+Reproducibility: each fixed-size chunk of pulses draws from its own SFC64
+stream, seeded by SeedSequence([seed, chunk index]), so results are
+bit-identical for a given seed at any thread count; scan points derive
+child seeds from (seed, point index).  ``RNG_STREAM`` names this stream
+in the run manifest.
 """
 
 from __future__ import annotations
@@ -65,12 +68,15 @@ from .gain import _bogoliubov, _half_angle, _half_max_angle, _v_abs, gain_at, om
 from .params import CrystalParams, DetectionModel, PumpParams, SpectralGrid
 
 _CHUNK = 256  # pulses per RNG stream; fixed so reruns are bit-identical
-_N_NORMALS = 28  # real normals per cluster: 14 complex vacuum inputs
+_N_NORMALS = 24  # real normals per cluster: 12 complex vacuum inputs
+RNG_STREAM = (
+    f"SFC64(SeedSequence([seed, chunk])), {_CHUNK}-pulse chunks, {_N_NORMALS} normals per cluster"
+)
 _BLOCK = 16384  # clusters per arithmetic block, sized to stay in cache
 _QUAD_PER_BIN = 64  # Gauss-Legendre nodes per lattice bin in expected_stats
 _PER_PULSE = 9  # float64 per pulse: s1, s2 and the jackknife temporaries
 # cap on an ensemble's estimated float64 working set, 2^27 values (1 GiB):
-# about 34x the reference run of 30 000 pulses, 10 modes and 48 bins
+# about 39x the reference run of 30 000 pulses, 10 modes and 48 bins
 _MAX_FLOATS = 2**27
 
 
@@ -174,10 +180,11 @@ def _block_signals(omega, normals, tau, crystal, pump, eta):
     """Per-pulse (S1 + S2, S1 - S2) from each cluster's ``normals``.
 
     Rows of ``normals`` come in (re, im) pairs: z1p, z2m, z1m, z2p (pair
-    vacua), y1m, y2p (pair-C top-up), the loss vacua of the four twin
-    modes, h+, h- (window) and v+, v- (complement).  Amplitudes are
-    carried at twice their Wigner scale, so each vacuum input is a + ib
-    with unit-normal a, b.
+    vacua), the loss vacua of the four twin modes, h+, h- (window) and
+    v+, v- (complement).  Those of a1- and a2+ also stand for the
+    pair-C top-ups y1m, y2p, which enter only those modes.  Amplitudes
+    are carried at twice their Wigner scale, so each vacuum input is
+    a + ib with unit-normal a, b.
     """
     u0, v0, r, uc, vc, tc = _pair_coefficients(omega, tau, crystal, pump)
 
@@ -196,16 +203,18 @@ def _block_signals(omega, normals, tau, crystal, pump, eta):
     pv_r, pv_i = ph_c * cv, -ph_s * cv  # exp(-2 i Omega tau) vc
 
     z1p_r, z1p_i, z2m_r, z2m_i, z1m_r, z1m_i, z2p_r, z2p_i = normals[:8]
-    y1m_r, y1m_i, y2p_r, y2p_i = normals[8:12]
     # rows: the delayed beam's +Omega and -Omega modes, then their splitter
-    # partners a2+ and a2-; the loss vacua rows come in the same order
-    xy = np.multiply(normals[12:20], math.sqrt(1.0 - eta))
+    # partners a2+ and a2-; the loss vacua rows come in the same order.
+    # a1- and a2+ draw their top-up ct y and loss vacuum as one normal of
+    # variance ct^2 + 1 - eta
+    xy = np.multiply(normals[8:16], math.sqrt(1.0 - eta))
+    xy[2:6] = normals[10:14] * np.sqrt(ct * ct + (1.0 - eta))
     xy[0] += ku_r * z1p_r - ku_i * z1p_i + kv * z2m_r
     xy[1] += ku_i * z1p_r + ku_r * z1p_i - kv * z2m_i
-    xy[2] += pu_r * z1m_r - pu_i * z1m_i + pv_r * z2p_r + pv_i * z2p_i + ct * y1m_r
-    xy[3] += pu_i * z1m_r + pu_r * z1m_i + pv_i * z2p_r - pv_r * z2p_i + ct * y1m_i
-    xy[4] += cu_r * z2p_r - cu_i * z2p_i + cv * z1m_r + ct * y2p_r
-    xy[5] += cu_i * z2p_r + cu_r * z2p_i - cv * z1m_i + ct * y2p_i
+    xy[2] += pu_r * z1m_r - pu_i * z1m_i + pv_r * z2p_r + pv_i * z2p_i
+    xy[3] += pu_i * z1m_r + pu_r * z1m_i + pv_i * z2p_r - pv_r * z2p_i
+    xy[4] += cu_r * z2p_r - cu_i * z2p_i + cv * z1m_r
+    xy[5] += cu_i * z2p_r + cu_r * z2p_i - cv * z1m_i
     xy[6] += ku_r * z2m_r - ku_i * z2m_i + kv * z1p_r
     xy[7] += ku_i * z2m_r + ku_r * z2m_i - kv * z1p_i
 
@@ -214,7 +223,7 @@ def _block_signals(omega, normals, tau, crystal, pump, eta):
     # mode S1 - S2 = 2 Re(w a2* + c v*) and S1 + S2 = |w|^2 + |a2|^2 +
     # |c|^2 + |v|^2 - 2, where |w|^2 + |c|^2 = |x|^2 + |h|^2.
     x, y = xy[:4], xy[4:]
-    hv = normals[20:]
+    hv = normals[16:]
     h, v = hv[:4], hv[4:]
     s = np.sqrt(1.0 - r * r)
     norm = np.einsum("rpc,rpc->p", xy, xy) + np.einsum("rpc,rpc->p", hv, hv)
@@ -280,9 +289,7 @@ def simulate_ensemble(
     for chunk_idx, lo in enumerate(range(0, n_pulses, _CHUNK)):
         hi = min(lo + _CHUNK, n_pulses)
         npc = hi - lo
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, chunk_idx], dtype=np.uint64))
-        )
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, chunk_idx])))
         jitter = rng.random((npc, m, k))
         omega = ((bins + jitter) * dw).reshape(npc, m * k)
         normals = buffer[: _N_NORMALS * omega.size].reshape((_N_NORMALS,) + omega.shape)

@@ -1,4 +1,6 @@
+import configparser
 import csv
+import hashlib
 import json
 import math
 import os
@@ -6,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from macrohom import gain
+from macrohom import gain, montecarlo
 from macrohom.cli import main
 from macrohom.config import _DEFAULTS
 from macrohom.gain import calibrate_walkoff
@@ -265,6 +267,7 @@ class TestMcCommand:
         assert run(tmp_path, "mc", MC_FAST, extra=["--seed", "99"]) == 0
         manifest = read_manifest(tmp_path)
         assert manifest["resolved"]["seed"] == 99
+        assert manifest["resolved"]["rng"] == montecarlo.RNG_STREAM
         assert manifest["summary"]["wigner_cell_occupancy"] >= 10.0
         header, rows = read_csv(tmp_path / "mc.csv")
         assert header == ["tau_ps", "nrf_hat", "se_nrf", "g2_hat", "se_g2"]
@@ -280,6 +283,26 @@ class TestMcCommand:
         for out in (out_a, out_b):
             assert main(["mc", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 0
         assert (out_a / "mc.csv").read_bytes() == (out_b / "mc.csv").read_bytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_manifest_replays_the_run(self, tmp_path, threads):
+        # the manifest alone reproduces a run: its config block written back
+        # as an INI and its recorded seed give the same mc.csv bytes
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        first.mkdir()
+        replay.mkdir()
+        cfg = "[detection]\npulses = 48\n[mc]\ntau_points = 0.0, 2.5, 45.0\n"
+        assert run(first, "mc", cfg, extra=["--seed", "11"]) == 0
+        manifest = read_manifest(first)
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_dict(manifest["config"])
+        with open(replay / "replayed.ini", "w") as fh:
+            parser.write(fh)
+        seed = str(manifest["resolved"]["seed"])
+        argv = ["mc", "--config", str(replay / "replayed.ini"), "--out", str(replay)]
+        assert main(argv + ["--seed", seed, "--threads", threads]) == 0
+        digest = hashlib.sha256((replay / "mc.csv").read_bytes()).hexdigest()
+        assert digest == manifest["outputs"]["mc.csv"]
 
     def test_threads_do_not_change_results(self, tmp_path):
         out_a = tmp_path / "a"
@@ -391,10 +414,10 @@ class TestNonFiniteInputs:
                 "[pump]\npulse_fwhm_ps = 1e308\n[detection]\npulses = 4\n",
                 "no finite number of lattice slices",
             ),
-            # one ensemble of 256 pulses x 10000 clusters fits; two at once do not
+            # one ensemble of 256 pulses x 11000 clusters fits; two at once do not
             (
                 "mc --threads 2",
-                "[detection]\nmodes = 10\npulses = 256\n[mc]\nn_freq_bins = 1000\n",
+                "[detection]\nmodes = 10\npulses = 256\n[mc]\nn_freq_bins = 1100\n",
                 "the thread count must be <= 1",
             ),
         ],
@@ -494,8 +517,6 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == ["run.ini"]
 
     def test_bad_last_delay_fails_before_any_ensemble(self, tmp_path, capsys, monkeypatch):
-        from macrohom import montecarlo
-
         calls = []
         monkeypatch.setattr(montecarlo, "simulate_ensemble", lambda *a: calls.append(a))
         cfg = "[detection]\npulses = 3000\n[mc]\ntau_points = 0.0, 0.5, 1.0, 2.5, 70.0\n"

@@ -61,6 +61,25 @@ class TestTmsv:
         with pytest.raises(ValidationError):
             tmsv(-0.5)
 
+    def test_nan_gain(self):
+        with pytest.raises(ValidationError, match="gain must be >= 0, got nan"):
+            tmsv(math.nan)
+
+    @pytest.mark.parametrize("g", [10.0, 19.1, 20.0])
+    def test_refuses_ladder_above_cap(self, g):
+        # at g = 10 the ladder would hold 2.8e9 values (22 GB); from about
+        # g = 19.1 tanh rounds to 1 and no finite truncation exists
+        with pytest.raises(ValidationError, match=r"gains up to 8\.482 fit"):
+            tmsv(g)
+
+    def test_named_gain_is_the_largest_ladder_that_fits(self):
+        assert default_n_max(8.482) + 1 <= fock._MAX_FLOATS < default_n_max(8.483) + 1
+
+    @pytest.mark.parametrize("g", [math.nan, 19.1, 20.0])
+    def test_depth_undefined_where_tanh_is_not_below_one(self, g):
+        with pytest.raises(ValidationError, match="no truncation depth"):
+            default_n_max(g)
+
 
 class TestHomStats:
     def test_zero_phase_matches_closed_form(self):

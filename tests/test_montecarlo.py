@@ -113,6 +113,19 @@ class TestSimulateEnsemble:
             st = simulate_ensemble(crystal, PUMP, det, lattice, 1.5, seed=77)
             assert abs(st.nrf_hat - nrf_e) < 3.0 * st.se_nrf
 
+    @pytest.mark.parametrize("eta", [0.03, 0.3, 1.0])
+    @pytest.mark.parametrize("tau", [0.0, 45.0])
+    def test_merged_vacuum_matches_exact_moments(self, crystal, lattice, eta, tau):
+        # a1- and a2+ draw their top-up and loss vacua as one normal;
+        # expected_stats keeps them apart and the loss after the splitters.
+        # At eta = 1 the merged vacuum is the top-up alone.  At 10 000
+        # pulses, dropping the top-up moves g2_hat by about 6.5 se at 45 ps
+        det = small_det(n_pulses=10_000, eta=eta)
+        st = simulate_ensemble(crystal, PUMP, det, lattice, tau, seed=91)
+        _, nrf_e, g2_e = expected_stats(crystal, PUMP, det, lattice, tau)
+        assert abs(st.nrf_hat - nrf_e) < 4.0 * st.se_nrf
+        assert abs(st.g2_hat - g2_e) < 4.0 * st.se_g2
+
     def test_se_scales_with_ensemble_size(self, crystal):
         lattice = LatticeSpec.default(crystal, PUMP, n_freq_bins=16)
         det_a = small_det(n_pulses=3_000, m=2)
