@@ -1,12 +1,18 @@
 import configparser
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from macrohom import gain, montecarlo
 from macrohom.cli import main
@@ -529,3 +535,98 @@ class TestExitCodes:
         target = tmp_path / "blocked"
         target.write_text("not a directory")
         assert main(["trace", "--out", str(target)]) == 4
+
+
+GAIN_CURVE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "gain_curve.csv")
+
+
+class TestManifestReplay:
+    """The manifest alone reproduces a run: its config block, written back
+    as an INI, gives the same CSV bytes (mc, which also needs the seed, is
+    in TestMcCommand)."""
+
+    @pytest.mark.parametrize(
+        "command, config_text",
+        [
+            ("trace", FAST_TRACE + "[pump]\ngain = 6.5\n"),
+            ("g2", FAST_G2 + "[detection]\nmodes = 4\n"),
+            ("sweep-gain", "[sweep]\ng_values = 5.5, 7.5\ntau_step_ps = 0.05\n"),
+            ("calibrate", "[crystal]\nlength_mm = 8.0\ncalibration_fwhm_nm = 1.1\n"),
+            ("fit-gain", f"[fit]\ndata = {GAIN_CURVE}\n"),
+        ],
+    )
+    def test_manifest_replays_the_run(self, tmp_path, command, config_text):
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        first.mkdir()
+        replay.mkdir()
+        assert run(first, command, config_text) == 0
+        manifest = read_manifest(first)
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_dict(manifest["config"])
+        with open(replay / "replayed.ini", "w") as fh:
+            parser.write(fh)
+        assert main([command, "--config", str(replay / "replayed.ini"), "--out", str(replay)]) == 0
+        (name, digest), = manifest["outputs"].items()
+        assert hashlib.sha256((replay / name).read_bytes()).hexdigest() == digest
+
+
+# values that a combined key may take instead of an ordinary number
+SPECIAL_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-200", "5e-324", "1e300", "abc"]
+COMBINED_KEYS = [
+    ("pump", "gain"),
+    ("pump", "pulse_fwhm_ps"),
+    ("trace", "tau_max_ps"),
+    ("trace", "tau_step_ps"),
+    ("sweep", "g_values"),
+    ("crystal", "length_mm"),
+    ("crystal", "walkoff_ps_per_mm"),
+]
+
+
+@st.composite
+def combined_config(draw):
+    """Every combined key set at once, to an ordinary value or, for up to
+    two keys, to a special one.  The [trace] grid keeps at most 64 points
+    per side and the sweep at most three gains: both bounds are for
+    runtime only."""
+    gains = st.floats(0.0, 13.0).map(repr)
+    tau_max = draw(st.floats(1e-3, 120.0))
+    sections = {
+        "pump": {"gain": draw(gains), "pulse_fwhm_ps": repr(draw(st.floats(1e-2, 200.0)))},
+        "trace": {
+            "tau_max_ps": repr(tau_max),
+            "tau_step_ps": repr(tau_max / draw(st.integers(1, 64))),
+        },
+        "sweep": {"g_values": ",".join(draw(st.lists(gains, min_size=1, max_size=3)))},
+        "crystal": {
+            "length_mm": repr(draw(st.floats(1e-2, 50.0))),
+            "walkoff_ps_per_mm": draw(st.one_of(st.just("auto"), st.floats(1e-3, 2.0).map(repr))),
+        },
+    }
+    for section, key in draw(st.lists(st.sampled_from(COMBINED_KEYS), max_size=2, unique=True)):
+        sections[section][key] = draw(st.sampled_from(SPECIAL_VALUES))
+    return sections
+
+
+@pytest.mark.parametrize("command", ["trace", "g2", "sweep-gain"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sections=combined_config())
+def test_combined_keys_give_finite_csv_or_exit_with_message(command, sections):
+    text = "".join(
+        f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for s, kv in sections.items()
+    )
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        out = pathlib.Path(tmp)
+        code = run(out, command, text)  # an uncaught exception (exit 1) fails here
+        event(f"exit {code}")
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert err.getvalue().strip()
+        else:
+            manifest = json.loads(
+                (out / "manifest.json").read_text(), parse_constant=reject_constant
+            )
+            (name,) = manifest["outputs"]
+            _, rows = read_csv(out / name)
+            assert rows and all(math.isfinite(v) for row in rows for v in row)

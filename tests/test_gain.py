@@ -370,6 +370,28 @@ def test_import_boundary_leaves_scipy_to_the_fit():
     assert out.stdout.split("\n")[:2] == ["[]", "True"]
 
 
+def test_import_boundary_leaves_numpy_polynomial_to_the_kernels():
+    # numpy loads numpy.polynomial lazily; the quadrature grid and the
+    # pedestal interpolant reach it at call time, so start-up never pays
+    # for it
+    src = os.path.dirname(os.path.dirname(gain.__file__))
+    code = (
+        "import sys\n"
+        "import macrohom.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+        "from macrohom.params import CrystalParams, PumpParams\n"
+        "from macrohom.trace import default_grid, delay_grid, nrf_and_pedestal\n"
+        "crystal, pump = CrystalParams(), PumpParams()\n"
+        "nrf_and_pedestal(delay_grid(3.0, 0.1), crystal, pump, default_grid(crystal, pump, 3.0))\n"
+        "print('numpy.polynomial.chebyshev' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]
+
+
 class TestFitGainCurve:
     def test_noise_free_closure(self):
         c_true = 7.5 / math.sqrt(55.0)

@@ -5,7 +5,7 @@ import pytest
 
 from macrohom.errors import NumericalError, ValidationError
 from macrohom.fock import hom_stats, tmsv
-from macrohom.gain import calibrate_walkoff, uv_arrays
+from macrohom.gain import calibrate_walkoff, gain_at, uv_arrays
 from macrohom.params import CrystalParams, DetectionModel, PumpParams, SpectralGrid
 from macrohom.trace import (
     Trace,
@@ -506,3 +506,94 @@ class TestTraceType:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             Trace(tau=np.arange(2.0), value=np.ones(2), kind="bogus")
+
+
+# default [sweep] gains, 5.5 to 7.5 in steps of 0.2, and two above them
+SWEEP_GAINS = [round(5.5 + 0.2 * i, 1) for i in range(11)] + [9.5, 12.0]
+
+
+def half_grid(tau_max, tau_step):
+    """The distinct |tau| of delay_grid(tau_max, tau_step)."""
+    tau = delay_grid(tau_max, tau_step)
+    return tau[tau >= 0]
+
+
+def assert_pedestal_matches_direct(g, tau, check_nrf=True):
+    """nrf_and_pedestal against direct_values at every delay of ``tau``, on
+    the default grid of the crystal calibrated at gain ``g``."""
+    pump = PumpParams(g_peak=g, t_p=18.0)
+    crystal = calibrate_walkoff(1.3, pump)
+    tau = np.asarray(tau, dtype=float)
+    grid = default_grid(crystal, pump, float(np.max(np.abs(tau))) or 1.0)
+    nrf, ped = nrf_and_pedestal(tau, crystal, pump, grid)
+    nrf_direct, ped_direct = direct_values(tau, crystal, pump, grid)
+    np.testing.assert_allclose(ped.value, ped_direct, rtol=1e-11, atol=0)
+    if check_nrf:
+        np.testing.assert_allclose(nrf.value, nrf_direct, rtol=1e-10, atol=0)
+
+
+class TestPedestalInterpolation:
+    """The pedestal sum q F(q), q = G(tau)^2, with log F interpolated or F
+    evaluated directly, against exactly rounded sums one delay at a time."""
+
+    @pytest.mark.parametrize("g", [0.5, 7.5, 11.0])
+    def test_calibrated_crystal_at_each_gain(self, g):
+        # at G = 0.5 a 12 ps delay range takes about 51 000 nodes, near the
+        # cap of 65 536
+        assert_pedestal_matches_direct(g, half_grid(12.0, 0.1))
+
+    @pytest.mark.parametrize("g", [7.5, 11.0])
+    def test_whole_pedestal_decay(self, g):
+        # the reference trace range, down to q of about 1e-22; at G = 11 the
+        # interference sum's own rounding (about eps cosh^2 G against the
+        # shot-noise baseline, 1e-8 relative to exactly rounded sums) is
+        # beyond nrf's 1e-10, so only the pedestal is compared there
+        assert_pedestal_matches_direct(g, half_grid(80.0, 0.05), check_nrf=g < 11.0)
+
+    @pytest.mark.parametrize("g", SWEEP_GAINS)
+    def test_sweep_grid(self, g):
+        assert_pedestal_matches_direct(g, half_grid(6.0, 0.02))
+
+    @pytest.mark.parametrize(
+        "tau",
+        [
+            [0.0],
+            [4.0],
+            [0.0, 4.0],
+            [-2.5, 2.5],  # one distinct |tau|
+            np.arange(-8.0, 0.5, 0.5),  # 17 distinct |tau|: no fewer evaluations
+            np.arange(0.0, 9.0, 0.5),  # 18 distinct |tau|: the smallest interpolated set
+        ],
+        ids=["zero", "one", "two", "repeated", "17", "18"],
+    )
+    def test_few_delays(self, tau):
+        assert_pedestal_matches_direct(7.5, tau)
+
+    def test_reference_trace_interpolates(self, crystal, monkeypatch):
+        # a wrong interpolant never converges and falls back to one direct
+        # evaluation per distinct |tau|, which the comparisons above cannot
+        # tell from a right one: count the evaluations of F instead
+        import macrohom.trace as trace_module
+
+        evaluated = []
+        factor = trace_module._pedestal_factor
+
+        def counting(q, x2, coef):
+            evaluated.append(q.size)
+            return factor(q, x2, coef)
+
+        monkeypatch.setattr(trace_module, "_pedestal_factor", counting)
+        tau = delay_grid(80.0, 0.05)
+        nrf_and_pedestal(tau, crystal, PUMP, default_grid(crystal, PUMP, 80.0))
+        assert sum(evaluated) <= 65 < np.unique(np.abs(tau)).size
+
+    def test_every_gain_underflowed(self):
+        # G(tau) is 0.0 beyond about 417 ps at the reference pulse: the q
+        # span is zero and the pedestal is exactly shot noise
+        tau = np.arange(450.0, 550.0, 5.0)
+        pump = PumpParams(g_peak=7.5, t_p=18.0)
+        assert np.all(gain_at(tau, pump) == 0.0)
+        assert_pedestal_matches_direct(7.5, tau)
+        crystal = calibrate_walkoff(1.3, pump)
+        _, ped = nrf_and_pedestal(tau, crystal, pump, default_grid(crystal, pump, 550.0))
+        np.testing.assert_array_equal(ped.value, 1.0)
