@@ -2,7 +2,7 @@
 physics modules, and emit CSV tables plus a JSON run manifest.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure
-(bracketing or convergence), 4 I/O failure.
+(bracketing or non-finite results), 4 I/O failure.
 """
 
 from __future__ import annotations

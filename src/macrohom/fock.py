@@ -85,9 +85,11 @@ def tmsv(g: float) -> TmsvState:
         raise ValidationError(
             f"n_max={n_max} inadequate for g={g}: tanh^(2 n_max) = {th ** (2 * n_max):.3e}"
         )
-    n = np.arange(n_max + 1)
-    amps = th**n / math.cosh(g)
-    norm = float(np.sum(amps**2))
+    # built in place: the ladder is the only array of its size held
+    amps = np.arange(n_max + 1, dtype=float)
+    np.power(th, amps, out=amps)
+    amps /= math.cosh(g)
+    norm = float(np.dot(amps, amps))
     if norm < 1.0 - _NORM_SLACK:
         raise ValidationError(f"truncated norm {norm} below 1 - {_NORM_SLACK}")
     return TmsvState(amplitudes=amps)

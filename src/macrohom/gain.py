@@ -29,10 +29,6 @@ _SERIES_CUTOFF = 1e-6
 # |v(omega_max, 0)|^2 must fall below this fraction of |v(0,0)|^2
 TAIL_CUTOFF = 1e-6
 
-# iteration cap of the half-maximum root solve: twice scipy.optimize.brentq's
-# default of 100, at which some gains above about 197 do not converge
-_BRENT_MAXITER = 200
-
 
 def gain_at(t, pump: PumpParams):
     """Parametric gain G(t) following the Gaussian pump field envelope.
@@ -136,55 +132,6 @@ def omega_max_for(crystal: CrystalParams, pump: PumpParams) -> float:
     return omega_max
 
 
-def _brentq(f, a, b, xtol, rtol):
-    """Root of ``f`` in [a, b] by Brent's method (R. P. Brent, *Algorithms
-    for Minimization without Derivatives*, 1973, ch. 4), step for step as
-    ``scipy.optimize.brentq`` does it, so the root is the same float.
-    ``f(a)`` and ``f(b)`` must differ in sign.  Returns None after
-    ``_BRENT_MAXITER`` iterations without convergence.
-
-    Every operand is a numpy float64 under ``errstate(all="ignore")``: the
-    extrapolation step can divide by zero or overflow, where scipy's C loop
-    carries on with inf or nan and Python floats would raise."""
-    xpre, xcur = np.float64(a), np.float64(b)
-    fpre, fcur = np.float64(f(xpre)), np.float64(f(xcur))
-    if fpre == 0:
-        return float(xpre)
-    if fcur == 0:
-        return float(xcur)
-    xblk = fblk = spre = scur = np.float64(0.0)
-    with np.errstate(all="ignore"):
-        for _ in range(_BRENT_MAXITER):
-            if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
-                xblk, fblk = xpre, fpre
-                spre = scur = xcur - xpre
-            if abs(fblk) < abs(fcur):
-                xpre, xcur, xblk = xcur, xblk, xcur
-                fpre, fcur, fblk = fcur, fblk, fcur
-            delta = (xtol + rtol * abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            if fcur == 0 or abs(sbis) < delta:
-                return float(xcur)
-            if abs(spre) > delta and abs(fcur) < abs(fpre):
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                bound = 3 * abs(sbis) - delta
-                if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                    spre, scur = scur, stry  # good short step
-                else:
-                    spre = scur = sbis
-            else:
-                spre = scur = sbis
-            xpre, fpre = xcur, fcur
-            xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-            fcur = np.float64(f(xcur))
-    return None
-
-
 def _half_max_angle(g: float) -> float:
     """Half-angle x_half = d L omega_half / 2 at which |v|^2 = sinh^2(G) / 2.
 
@@ -200,16 +147,23 @@ def _half_max_angle(g: float) -> float:
     def excess(x):
         return _v_abs(g, np.array([x]))[0] ** 2 - half
 
-    x_zero = math.sqrt(g * g + math.pi ** 2)
-    if not (excess(0.0) > 0.0 > excess(x_zero)):
+    lo, hi = 0.0, math.sqrt(g * g + math.pi ** 2)
+    f_lo, f_hi = excess(lo), excess(hi)
+    if not (f_lo > 0.0 > f_hi):
         raise NumericalError("half-maximum crossing not bracketed: degenerate input")
-    x = _brentq(excess, 0.0, x_zero, xtol=1e-15, rtol=8.9e-16)
-    if x is None:
-        raise NumericalError(
-            f"spectral half-maximum root solve did not converge in {_BRENT_MAXITER} "
-            f"iterations at gain {g!r}"
-        )
-    return x
+    # bisect until lo and hi are adjacent floats: the interval shrinks
+    # strictly at every step, so the loop ends without an iteration cap
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo if abs(f_lo) <= abs(f_hi) else hi
+        f_mid = excess(mid)
+        if f_mid == 0.0:
+            return mid
+        if f_mid > 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
 
 
 def _fwhm_scale(pump: PumpParams) -> float:

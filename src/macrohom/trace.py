@@ -229,25 +229,28 @@ def nrf_and_pedestal(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: S
         # vacuum in, shot noise out: 0/0 resolved to the physical limit
         pedestal, nrf = np.ones((2, tau.size))
     else:
-        omega = grid.omega
-        u0, v0 = uv_arrays(omega, 0.0, crystal, pump)
-        v0sq = v0 * v0
-        coef = grid.weights * v0sq
-        denom = float(np.sum(coef))
-        interf_coef = coef * (u0.real**2 - u0.imag**2)  # w * v0^2 * Re(u0^2)
+        # an overflow (sinh^4 G at high gain) surfaces as the non-finite
+        # values Trace reports, not as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            omega = grid.omega
+            u0, v0 = uv_arrays(omega, 0.0, crystal, pump)
+            v0sq = v0 * v0
+            coef = grid.weights * v0sq
+            denom = float(np.sum(coef))
+            interf_coef = coef * (u0.real**2 - u0.imag**2)  # w * v0^2 * Re(u0^2)
 
-        x = _half_angle(omega, crystal)
-        abs_tau, back = np.unique(np.abs(tau), return_inverse=True)
-        g_tau = gain_at(abs_tau, pump)
+            x = _half_angle(omega, crystal)
+            abs_tau, back = np.unique(np.abs(tau), return_inverse=True)
+            g_tau = gain_at(abs_tau, pump)
 
-        ped_sum = _pedestal_sums(g_tau * g_tau, x * x, coef)
-        interf = np.empty(abs_tau.size)
-        for lo in range(0, abs_tau.size, _TAU_CHUNK):
-            hi = min(lo + _TAU_CHUNK, abs_tau.size)
-            interf[lo:hi] = np.cos(2.0 * np.outer(abs_tau[lo:hi], omega)) @ interf_coef
-        pedestal = 1.0 + ped_sum / denom
-        nrf = 1.0 + (ped_sum + interf) / denom
-        pedestal, nrf = pedestal[back], nrf[back]
+            ped_sum = _pedestal_sums(g_tau * g_tau, x * x, coef)
+            interf = np.empty(abs_tau.size)
+            for lo in range(0, abs_tau.size, _TAU_CHUNK):
+                hi = min(lo + _TAU_CHUNK, abs_tau.size)
+                interf[lo:hi] = np.cos(2.0 * np.outer(abs_tau[lo:hi], omega)) @ interf_coef
+            pedestal = 1.0 + ped_sum / denom
+            nrf = 1.0 + (ped_sum + interf) / denom
+            pedestal, nrf = pedestal[back], nrf[back]
     return (
         Trace(tau=tau, value=nrf, kind="nrf_ideal"),
         Trace(tau=tau, value=pedestal, kind="nrf_pedestal"),

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from macrohom import gain, montecarlo
+from macrohom import montecarlo
 from macrohom.cli import main
 from macrohom.config import _DEFAULTS
 from macrohom.gain import calibrate_walkoff
@@ -239,7 +239,7 @@ class TestCalibrateCommand:
         assert run(tmp_path, "calibrate", "[pump]\ngain = 0.0\n") == 2
 
     def test_high_gain_half_maximum_converges(self, tmp_path):
-        # this gain needs more than 100 iterations of the half-maximum solve
+        # scipy's brentq needs more than its default 100 iterations at this gain
         assert run(tmp_path, "calibrate", "[pump]\ngain = 221.617772929776\n") == 0
         summary = read_manifest(tmp_path)["summary"]
         assert summary["walkoff_ps_per_mm"] == pytest.approx(1.0204769548090022, rel=1e-12)
@@ -503,15 +503,6 @@ class TestExitCodes:
         cfg = "[trace]\ntau_max_ps = 0.5\ntau_step_ps = 0.05\n"
         assert run(tmp_path, "trace", cfg) == 3
         assert "half-maximum crossing" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == ["run.ini"]
-
-    def test_unconverged_half_maximum_maps_to_3(self, tmp_path, capsys, monkeypatch):
-        # at scipy's default cap of 100 iterations the half-maximum root
-        # solve does not converge at this gain
-        monkeypatch.setattr(gain, "_BRENT_MAXITER", 100)
-        assert run(tmp_path, "calibrate", "[pump]\ngain = 221.617772929776\n") == 3
-        err = capsys.readouterr().err
-        assert "did not converge" in err and "221.617772929776" in err
         assert os.listdir(tmp_path) == ["run.ini"]
 
     def test_undefined_ensemble_ratio_maps_to_3(self, tmp_path, capsys):

@@ -57,6 +57,23 @@ class TestTmsv:
         assert state.n_max == default_n_max(g)
         assert state.n_max == state.amplitudes.size - 1
 
+    @pytest.mark.parametrize("g", [0.0, 0.6, 3.0, 6.5])
+    def test_amplitudes_are_the_closed_form(self, g):
+        th = math.tanh(g)
+        amps = tmsv(g).amplitudes
+        np.testing.assert_array_equal(amps, th ** np.arange(amps.size) / math.cosh(g))
+
+    def test_holds_one_ladder_sized_array(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            amps = tmsv(6.5).amplitudes  # a ladder of about 20 MB
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * amps.nbytes
+
     def test_negative_gain(self):
         with pytest.raises(ValidationError):
             tmsv(-0.5)

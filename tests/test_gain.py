@@ -322,33 +322,32 @@ class TestCalibrateWalkoff:
             calibrate_walkoff(1.3, PumpParams(g_peak=0.0, t_p=18.0))
 
 
-class TestBrentPort:
-    """``gain._brentq`` against ``scipy.optimize.brentq``, which it ports:
-    the same root float, or a failure on both sides."""
+class TestHalfMaxBisection:
+    """``gain._half_max_angle`` bisects to adjacent floats: the root it
+    returns brackets the crossing with a float neighbour, and it agrees
+    with ``scipy.optimize.brentq`` as an independent reference."""
 
-    @pytest.mark.parametrize("g", [1e-3, 0.5, 5.5, 7.5, 12.0, 100.0, 221.617772929776, 300.0])
-    def test_matches_scipy_on_half_maximum_solve(self, monkeypatch, g):
+    GAINS = [1e-3, 0.5, 5.5, 7.5, 12.0, 100.0, 221.617772929776, 300.0, 355.5]
+
+    @staticmethod
+    def excess(g, x):
+        return gain._v_abs(g, np.array([x]))[0] ** 2 - 0.5 * math.sinh(g) ** 2
+
+    @pytest.mark.parametrize("g", GAINS)
+    def test_sign_change_at_a_float_neighbour(self, g):
+        x = gain._half_max_angle(g)
+        assert type(x) is float
+        f = self.excess(g, x)
+        neighbours = (self.excess(g, np.nextafter(x, d)) for d in (-math.inf, math.inf))
+        assert f == 0.0 or any(np.sign(fn) != np.sign(f) for fn in neighbours)
+
+    @pytest.mark.parametrize("g", GAINS)
+    def test_matches_scipy_brentq(self, g):
         from scipy.optimize import brentq
 
-        calls, real = [], gain._brentq
-
-        def spy(f, a, b, xtol, rtol):  # records the production excess and bracket
-            calls.append((f, a, b, xtol, rtol))
-            return real(f, a, b, xtol, rtol)
-
-        monkeypatch.setattr(gain, "_brentq", spy)
-        try:
-            port = gain._half_max_angle(g)
-        except NumericalError as exc:
-            assert f"gain {g!r}" in str(exc)
-            port = None
-        ((excess, a, b, xtol, rtol),) = calls
-        try:
-            ref = brentq(excess, a, b, xtol=xtol, rtol=rtol, maxiter=gain._BRENT_MAXITER)
-        except RuntimeError:  # scipy's "failed to converge"
-            ref = None
-        assert port == ref
-        assert port is None or type(port) is float
+        x_zero = math.sqrt(g * g + math.pi**2)
+        ref = brentq(lambda x: self.excess(g, x), 0.0, x_zero, xtol=1e-15, maxiter=500)
+        assert gain._half_max_angle(g) == pytest.approx(ref, rel=1e-14)
 
 
 def test_import_boundary_leaves_scipy_to_the_fit():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from macrohom.errors import NumericalError, ValidationError
-from macrohom.gain import _half_angle, _v_abs, calibrate_walkoff
+from macrohom.gain import _half_angle, _v_abs
 from macrohom.montecarlo import (
     _QUAD_PER_BIN,
     LatticeSpec,
@@ -14,7 +14,7 @@ from macrohom.montecarlo import (
     simulate_ensemble,
     wigner_cell_occupancy,
 )
-from macrohom.params import DetectionModel, PumpParams
+from macrohom.params import CrystalParams, DetectionModel, PumpParams
 from macrohom.trace import default_grid, detected_trace, nrf_trace
 
 PUMP = PumpParams()
@@ -22,7 +22,11 @@ PUMP = PumpParams()
 
 @pytest.fixture(scope="module")
 def crystal():
-    return calibrate_walkoff(1.3, PUMP)
+    # the slope calibrate_walkoff(1.3, PUMP) returned when PINNED was
+    # recorded, given explicitly: the delay-45 nrf is a near-cancelling sum
+    # that moves thousands of times more than the slope, so a one-ulp change
+    # of the root solve would move it past rel 1e-12
+    return CrystalParams(length_mm=10.0, walkoff_slope=0.19898926491958538)
 
 
 @pytest.fixture(scope="module")
