@@ -83,6 +83,21 @@ def _v_abs(g, x):
     return np.abs(g * _sinc_branch(g * g - x * x))
 
 
+def _v_abs_scalar(g: float, x: float) -> float:
+    """:func:`_v_abs` for one float pair, in ``math``: the same branches
+    and series, without numpy's per-call array overhead."""
+    z = g * g - x * x
+    if z >= _SERIES_CUTOFF:
+        s = math.sqrt(z)
+        sinc = math.sinh(s) / s
+    elif z <= -_SERIES_CUTOFF:
+        s = math.sqrt(-z)
+        sinc = math.sin(s) / s
+    else:
+        sinc = 1.0 + z / 6.0 + z * z / 120.0 + z * z * z / 5040.0
+    return abs(g * sinc)
+
+
 def _bogoliubov(g, x):
     """The Bogoliubov pair u = C(z) + i x S(z), v = |G S(z)| at gain ``g``
     and half-angle ``x``, z = G^2 - x^2; v is :func:`_v_abs` with S(z)
@@ -145,7 +160,8 @@ def _half_max_angle(g: float) -> float:
     half = 0.5 * math.sinh(g) ** 2
 
     def excess(x):
-        return _v_abs(g, np.array([x]))[0] ** 2 - half
+        v = _v_abs_scalar(g, x)
+        return v * v - half
 
     lo, hi = 0.0, math.sqrt(g * g + math.pi ** 2)
     f_lo, f_hi = excess(lo), excess(hi)

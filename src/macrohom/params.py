@@ -8,6 +8,7 @@ typical crystals.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -129,6 +130,19 @@ class DetectionModel:
             raise ValidationError(f"ensemble size must be >= 2, got {self.n_pulses}")
 
 
+@functools.cache
+def _gl_rule():
+    """The _GL_ORDER-point Gauss-Legendre nodes and weights on [-1, 1],
+    built once per process, read-only since every grid shares them;
+    numpy.polynomial loads on the first grid."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(_GL_ORDER)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 class SpectralGrid:
     """Samples and quadrature weights for integrals over detuning >= 0.
 
@@ -170,7 +184,7 @@ class SpectralGrid:
         if n < 1:
             raise ValidationError("node count must be >= 1")
         panels = -(-n // _GL_ORDER)
-        x, w = np.polynomial.legendre.leggauss(_GL_ORDER)
+        x, w = _gl_rule()
         edges = np.linspace(0.0, omega_max, panels + 1)
         half = 0.5 * (edges[1:] - edges[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])

@@ -16,6 +16,19 @@ two forms agree identically.  The kernel therefore runs once per distinct
 |tau| and copies each value to both signs, so traces are even by
 construction.
 
+The interference term has compact support in tau.  Its integrand
+v0^2 Re(u0^2) is even and entire in w: the factors S(z)^2 and C(z)^2,
+z = G^2 - x^2, x = d L w / 2, are each of exponential type d L, so the
+integrand is of exponential type 2 d L and, decaying as 1/w^2, integrable
+on the real line.  By the Paley-Wiener theorem (Rudin, *Real and Complex
+Analysis*, ch. 19) its cosine transform at frequency 2 tau vanishes for
+|tau| > d L, the walk-off across the crystal (1.99 ps at the reference).
+The kernel therefore sums the interference term only at |tau| <= d L and
+sets it to exactly 0 beyond, where nrf equals the pedestal; a quadrature
+sum there would return only the truncation residue of the spectral tail
+cutoff.  At zero walk-off the integrand is constant in w, not
+integrable, and the theorem says nothing: the sum runs at every delay.
+
 The pedestal integral depends on tau only through q = G(tau)^2:
 
     int dw v0^2 v_tau^2 = q F(q),    F(q) = int dw v0^2 S(q - x^2)^2,
@@ -217,9 +230,11 @@ def nrf_and_pedestal(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: S
 
     The pedestal sum q F(q), q = G(tau)^2, comes from a Chebyshev
     interpolant of log F (see :func:`_pedestal_sums`), within about 3e-14
-    relative of exactly rounded sums on the reference and sweep grids; the
-    interference sum is one cosine matrix-vector product per chunk of
-    delays, exact to rounding."""
+    relative of exactly rounded sums on the reference and sweep grids.
+    The interference sum is one cosine matrix-vector product per chunk of
+    the distinct |tau| <= d L, and exactly 0 beyond, where the integral
+    vanishes by the Paley-Wiener theorem (see the module docstring); at
+    d L = 0 it runs at every |tau|."""
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or tau.size == 0:
         raise ValidationError("tau grid must be a nonempty 1-d sequence")
@@ -244,9 +259,13 @@ def nrf_and_pedestal(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: S
             g_tau = gain_at(abs_tau, pump)
 
             ped_sum = _pedestal_sums(g_tau * g_tau, x * x, coef)
-            interf = np.empty(abs_tau.size)
-            for lo in range(0, abs_tau.size, _TAU_CHUNK):
-                hi = min(lo + _TAU_CHUNK, abs_tau.size)
+            # the interference integral is exactly 0 beyond |tau| = d L
+            # (Paley-Wiener); at zero walk-off it has no such support
+            dl = crystal.walkoff_slope * crystal.length_mm
+            n_in = int(np.searchsorted(abs_tau, dl, side="right")) if dl > 0 else abs_tau.size
+            interf = np.zeros(abs_tau.size)
+            for lo in range(0, n_in, _TAU_CHUNK):
+                hi = min(lo + _TAU_CHUNK, n_in)
                 interf[lo:hi] = np.cos(2.0 * np.outer(abs_tau[lo:hi], omega)) @ interf_coef
             pedestal = 1.0 + ped_sum / denom
             nrf = 1.0 + (ped_sum + interf) / denom
@@ -382,8 +401,8 @@ def fwhm_vs_gain(
     """
     g_values = [float(g) for g in g_values]
     for g in g_values:
-        if not (0.0 < g <= 12.0):
-            raise ValidationError(f"gain {g} outside (0, 12]")
+        if not (0.0 < g <= 50.0):
+            raise ValidationError(f"gain {g} outside (0, 50]")
     tau = delay_grid(tau_max, tau_step)
     rows = []
     for g in g_values:

@@ -141,6 +141,18 @@ class TestG2Command:
         assert np.max(np.abs(values - 1.0)) < 1e-4
 
 
+class TestHighGain:
+    # beyond d L the interference integral is exactly 0, so nrf there is
+    # the pedestal, not a truncation residue below shot noise
+    def test_trace_stays_above_shot_noise(self, tmp_path):
+        assert run(tmp_path, "trace", "[pump]\ngain = 12\n") == 0
+        _, rows = read_csv(tmp_path / "trace.csv")
+        assert min(row[1] for row in rows) >= 1.0
+
+    def test_g2_runs(self, tmp_path):
+        assert run(tmp_path, "g2", "[pump]\ngain = 12\n") == 0
+
+
 class TestSweepGainCommand:
     def test_ratio_and_monotonicity(self, tmp_path):
         cfg = "[sweep]\ng_values = 5.5,6.5,7.5\ntau_step_ps = 0.02\n"

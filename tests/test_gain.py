@@ -350,6 +350,34 @@ class TestHalfMaxBisection:
         assert gain._half_max_angle(g) == pytest.approx(ref, rel=1e-14)
 
 
+def test_scalar_v_abs_matches_array():
+    # the half-maximum solve evaluates |v| one float at a time in math;
+    # both forms share every rounding step but sinh and sin, where libm and
+    # numpy may differ by an ulp or two: at G = 1.7319, x = 1.4570 libm's
+    # sinh is 1 ulp low, numpy's is exact, and the two |v| are 3 ulp apart
+    rng = np.random.default_rng(2024)
+    g = np.concatenate([rng.uniform(0.0, 355.0, 2000), rng.uniform(0.0, 3.0, 2000)])
+    x = g * rng.uniform(0.0, 2.0, g.size)
+    x[-200:] = np.sqrt(g[-200:] ** 2 + rng.uniform(-1e-6, 1e-6, 200))  # the series branch
+    assert np.any(np.abs(g * g - x * x) < gain._SERIES_CUTOFF)
+    want = gain._v_abs(g, x)
+    got = np.array([gain._v_abs_scalar(float(a), float(b)) for a, b in zip(g, x)])
+    assert np.all(np.abs(got - want) <= 3.0 * np.spacing(want))
+
+
+def test_gauss_legendre_rule_built_once_gives_the_same_grids():
+    # the 16-point rule is cached per process; a one-panel grid is still
+    # the fresh rule mapped onto [0, omega_max], call after call
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(16)
+    for omega_max in (37.3, 5.0, 37.3):
+        grid = SpectralGrid.gauss_legendre(omega_max, 16)
+        half = 0.5 * (omega_max - 0.0)
+        np.testing.assert_array_equal(grid.omega, 0.5 * (omega_max + 0.0) + half * x)
+        np.testing.assert_array_equal(grid.weights, half * w)
+
+
 def test_import_boundary_leaves_scipy_to_the_fit():
     # only fit-gain (curve_fit) needs scipy; every other command would pay
     # about 0.5 s of start-up for importing it

@@ -1,14 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from macrohom.errors import NumericalError, ValidationError
 from macrohom.fock import hom_stats, tmsv
-from macrohom.gain import calibrate_walkoff, gain_at, uv_arrays
+from macrohom.gain import calibrate_walkoff, gain_at, omega_max_for, uv_arrays
 from macrohom.params import CrystalParams, DetectionModel, PumpParams, SpectralGrid
 from macrohom.trace import (
     Trace,
+    _fwhm,
     default_grid,
     delay_grid,
     detected_trace,
@@ -60,6 +62,18 @@ def direct_values(tau, crystal, pump, grid):
         ped.append(1.0 + ped_sum / denom)
         nrf.append(1.0 + (ped_sum + math.fsum(np.cos(2.0 * t * omega) * interf_coef)) / denom)
     return np.array(nrf), np.array(ped)
+
+
+def assert_nrf_matches_direct(tau, crystal, nrf, ped, nrf_direct, check_inside=True):
+    """nrf against direct_values at rel 1e-10 where the interference
+    integral can be nonzero, |tau| <= d L (skipped if not
+    ``check_inside``); beyond, where it is exactly 0 (Paley-Wiener) and
+    the direct sum holds only the truncation residue of the tail cutoff,
+    nrf must equal the pedestal bitwise."""
+    inside = np.abs(tau) <= crystal.walkoff_slope * crystal.length_mm
+    if check_inside:
+        np.testing.assert_allclose(nrf[inside], nrf_direct[inside], rtol=1e-10, atol=0)
+    np.testing.assert_array_equal(nrf[~inside], ped[~inside])
 
 
 def single_omega_grid(omega0):
@@ -117,8 +131,8 @@ class TestNrfTrace:
         idx = i0 - np.unique(np.geomspace(1, i0, 22).astype(int))
         assert np.all(tau[idx] < 0) and idx.size >= 20
         nrf_direct, ped_direct = direct_values(tau[idx], crystal, PUMP, grid)
-        np.testing.assert_allclose(nrf.value[idx], nrf_direct, rtol=1e-10, atol=0)
         np.testing.assert_allclose(ped.value[idx], ped_direct, rtol=1e-10, atol=0)
+        assert_nrf_matches_direct(tau[idx], crystal, nrf.value[idx], ped.value[idx], nrf_direct)
 
     def test_quadrature_grid_doubling(self, crystal):
         from macrohom.gain import omega_max_for
@@ -419,7 +433,21 @@ class TestFwhmVsGain:
         with pytest.raises(ValidationError):
             fwhm_vs_gain([0.0], crystal, PUMP)
         with pytest.raises(ValidationError):
-            fwhm_vs_gain([12.5], crystal, PUMP)
+            fwhm_vs_gain([50.5], crystal, PUMP)
+
+
+    @pytest.mark.parametrize("g", [12.0, 20.0, 50.0])
+    def test_high_gain_narrow_width(self, crystal, g):
+        # the same width from exactly rounded sums one delay at a time, and
+        # from a grid with twice the cutoff and four times the nodes
+        ((_, width),) = fwhm_vs_gain([g], crystal, PUMP)
+        pump = replace(PUMP, g_peak=g)
+        tau = delay_grid(6.0, 0.02)
+        grid = default_grid(crystal, pump, 6.0)
+        nrf_direct, ped_direct = direct_values(tau, crystal, pump, grid)
+        assert _fwhm(tau, nrf_direct - ped_direct) == pytest.approx(width, rel=1e-9)
+        fine = SpectralGrid.gauss_legendre(2.0 * grid.omega_max, 4 * len(grid))
+        assert fwhm_narrow(*nrf_and_pedestal(tau, crystal, pump, fine)) == pytest.approx(width, rel=1e-9)
 
 
 class TestOnePassKernel:
@@ -461,6 +489,52 @@ class TestDelayFold:
         one_sided = nrf_and_pedestal(half, crystal, PUMP, grid)
         for whole, part in zip(full, one_sided):
             np.testing.assert_array_equal(part.value, whole.value[tau >= 0])
+
+
+def interference_sum(g, crystal, omega_max, n, tau):
+    """The truncated interference sum over D, sum w v0^2 Re(u0^2)
+    cos(2 w tau) / sum w v0^2 on an n-node grid over [0, omega_max], with
+    u0 and v0 written out here through a complex square root and summed
+    exactly rounded: neither the kernel nor the gain module's branches."""
+    grid = SpectralGrid.gauss_legendre(omega_max, n)
+    w = grid.omega
+    x = 0.5 * crystal.walkoff_slope * crystal.length_mm * w
+    r = np.sqrt((g * g - x * x).astype(complex))
+    s = (np.sinh(r) / r).real
+    c = np.cosh(r).real
+    coef = grid.weights * (g * s) ** 2
+    return math.fsum(coef * (c * c - (x * s) ** 2) * np.cos(2.0 * tau * w)) / math.fsum(coef)
+
+
+class TestInterferenceSupport:
+    """The interference integrand is entire of exponential type 2 d L, so
+    its cosine transform vanishes for |tau| > d L (Paley-Wiener) and the
+    kernel sets it to 0 there.  Checked without the kernel: beyond d L the
+    truncated sum is only the tail cutoff's residue and shrinks as the
+    cutoff grows; inside, it converges to a nonzero value."""
+
+    @pytest.mark.parametrize("tau", [3.0, 5.0, 10.0])
+    @pytest.mark.parametrize("g", [0.5, 7.5])
+    def test_truncated_sum_vanishes_beyond_walkoff(self, g, tau):
+        pump = PumpParams(g_peak=g, t_p=18.0)
+        crystal = calibrate_walkoff(1.3, pump)
+        assert tau > crystal.walkoff_slope * crystal.length_mm
+        om = omega_max_for(crystal, pump)
+        n = required_nodes(om, tau)
+        cut = interference_sum(g, crystal, om, n, tau)
+        wide = interference_sum(g, crystal, 4.0 * om, 4 * n, tau)
+        assert 10.0 * abs(wide) <= abs(cut) < 1e-6
+
+    @pytest.mark.parametrize("g", [0.5, 7.5])
+    def test_truncated_sum_converges_inside(self, g):
+        pump = PumpParams(g_peak=g, t_p=18.0)
+        crystal = calibrate_walkoff(1.3, pump)
+        tau = 0.5 * crystal.walkoff_slope * crystal.length_mm
+        om = omega_max_for(crystal, pump)
+        n = required_nodes(om, tau)
+        cut = interference_sum(g, crystal, om, n, tau)
+        wide = interference_sum(g, crystal, 4.0 * om, 4 * n, tau)
+        assert abs(cut) > 0.1 and cut == pytest.approx(wide, rel=1e-3)
 
 
 class TestDelayGrid:
@@ -520,7 +594,8 @@ def half_grid(tau_max, tau_step):
 
 def assert_pedestal_matches_direct(g, tau, check_nrf=True):
     """nrf_and_pedestal against direct_values at every delay of ``tau``, on
-    the default grid of the crystal calibrated at gain ``g``."""
+    the default grid of the crystal calibrated at gain ``g``: the pedestal
+    everywhere, nrf by :func:`assert_nrf_matches_direct`."""
     pump = PumpParams(g_peak=g, t_p=18.0)
     crystal = calibrate_walkoff(1.3, pump)
     tau = np.asarray(tau, dtype=float)
@@ -528,8 +603,7 @@ def assert_pedestal_matches_direct(g, tau, check_nrf=True):
     nrf, ped = nrf_and_pedestal(tau, crystal, pump, grid)
     nrf_direct, ped_direct = direct_values(tau, crystal, pump, grid)
     np.testing.assert_allclose(ped.value, ped_direct, rtol=1e-11, atol=0)
-    if check_nrf:
-        np.testing.assert_allclose(nrf.value, nrf_direct, rtol=1e-10, atol=0)
+    assert_nrf_matches_direct(tau, crystal, nrf.value, ped.value, nrf_direct, check_nrf)
 
 
 class TestPedestalInterpolation:
@@ -547,7 +621,8 @@ class TestPedestalInterpolation:
         # the reference trace range, down to q of about 1e-22; at G = 11 the
         # interference sum's own rounding (about eps cosh^2 G against the
         # shot-noise baseline, 1e-8 relative to exactly rounded sums) is
-        # beyond nrf's 1e-10, so only the pedestal is compared there
+        # beyond nrf's 1e-10, so there nrf is checked only beyond d L,
+        # where it equals the pedestal
         assert_pedestal_matches_direct(g, half_grid(80.0, 0.05), check_nrf=g < 11.0)
 
     @pytest.mark.parametrize("g", SWEEP_GAINS)
