@@ -9,29 +9,25 @@ squeezed vacuum with a phase on one arm is blind to phi (the phase is
 global on every |n,n> component), so the oracle works with the doubled
 system: the tensor square of the ladder state.
 
-Everything is expanded exactly in photon-number sectors.  Both splitters
-share the sector total s = n + m, so the joint output amplitude is a sum
-of outer products of beamsplitter matrices, and photon-number moments
-follow by direct summation.
-
-The splitter matrix of sector s is built from that of sector s - 1 by
-splitting one photon off (the half-step D-function recursion of Risbo,
-J. Geodesy 70, 1996, at the 50:50 angle): real arithmetic, O(s^2) per
-sector, and orthogonal to 1e-13 at s = 800, because every step composes
-the orthogonal one-photon splitter with weights <= 1.  The closed-form
-binomial sums and the column recurrence, which divides by sqrt(n), both
-lose all precision by s ~ 100-200.  The cached sectors hold sum (s+1)^2
-float64 values, 35 MB up to g = 1.5; ``hom_stats`` refuses a state whose
-sectors would exceed 2^27 values (gains above about 2.08).  Intended for
-desk-scale gains (g <= 1.5 or so); the macroscopic regime belongs to the
-Gaussian model this oracle validates.
+Both splitters see the same photon-number sector s = n + m, with n and m
+beam 1's photons at +Omega and -Omega.  The moments follow in the
+Heisenberg picture (Campos, Saleh & Teich, Phys. Rev. A 40, 1371, 1989):
+on the s-photon sector, in the input basis |n, s-n>, beam 1's output count
+of one splitter is the tridiagonal operator T_s = B_s^T diag(k) B_s, with
+diagonal s/2 and off-diagonal 1/2 sqrt((n+1)(s-n)).  Beam 1's total count
+K = k1 + k2 is T_s (x) 1 + 1 (x) T_s, so <K> and <K^2> are sums over the
+(n, m) ladder grid of the phased amplitudes and T_s's entries; no splitter
+matrix is built.  The pass holds 5 (n_max + 1)^2 float64 values at once,
+0.56 MB at g = 1.5; ``hom_stats`` refuses a state whose pass would exceed
+2^27 values (gains above 3.401).  Intended for desk-scale gains (g <= 1.5
+or so); the macroscopic regime belongs to the Gaussian model this oracle
+validates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -39,8 +35,8 @@ from .errors import ValidationError
 
 _ADEQUACY = 1e-10
 _NORM_SLACK = 1e-8
-# float64 values the cached splitter sectors may hold; the same cap as the
-# Monte Carlo working set (montecarlo._MAX_FLOATS), 1 GiB
+# float64 values the ladder-grid pass may hold; the same cap as the Monte
+# Carlo working set (montecarlo._MAX_FLOATS), 1 GiB
 _MAX_FLOATS = 2**27
 
 
@@ -95,60 +91,22 @@ def tmsv(g: float) -> TmsvState:
     return TmsvState(amplitudes=amps)
 
 
-@lru_cache(maxsize=None)
-def _bs_matrix(s: int) -> np.ndarray:
-    """Fock matrix of the 50:50 splitter on the s-photon sector.
+def _hop(n, s):
+    """Off-diagonal T_s[n, n+1] of beam 1's output count on the s-photon
+    sector, in the input basis |n, s-n>: 1/2 sqrt((n+1)(s-n)).
 
-    B[k, n] = <k, s-k| BS |n, s-n> for the convention
-    out1 = (in1 + in2)/sqrt(2), out2 = (-in1 + in2)/sqrt(2), i.e. the
-    sector representation of exp(theta (a1+ a2 - a2+ a1)) at theta = pi/4.
-
-    On the s-photon sector the splitter acts as U^(x s), and splitting one
-    photon off, |k, s-k> = sqrt(k/s) |1>(x)|k-1, s-k> + sqrt((s-k)/s)
-    |2>(x)|k, s-k-1>, gives
-
-        B_s[k, n] = sum_{a,b} c_s(k, a) c_s(n, b) B_1[a, b] B_{s-1}[k-a, n-b]
-
-    with c_s(k, 1) = sqrt(k/s) and c_s(k, 0) = sqrt((s-k)/s): four shifted,
-    weighted copies of the previous sector, O(s^2) real work per sector.
-    Each step composes the orthogonal one-photon splitter with the
-    (s-1)-photon sector through an isometric embedding whose weights are
-    <= 1, so rounding errors only add up, one ulp-sized term per step.
-    Direct binomial sums cancel terms of size C(s, k), and the column
-    recurrence divides by sqrt(n); both lose all precision by s ~ 100-200.
-    Measured: ||B B^T - I||_max is at most 3.4e-14 for s <= 234 and
-    1.1e-13 at s = 800, and B agrees with the eigendecomposition of the
-    generator to 1.2e-14 for s <= 234.
-
-    A cold call builds every missing sector in a loop, upwards from the
-    highest cached one.  Sectors are only ever built in that order, so the
-    cache holds exactly sectors 0 .. currsize - 1.
+    Behind the 50:50 splitter out1 = (in1 + in2)/sqrt(2), so
+    k = (a1+ a1 + a2+ a2 + a1+ a2 + a2+ a1)/2: the diagonal is s/2 and the
+    cross terms move one photon between the inputs.
     """
-    if s == 0:
-        return np.ones((1, 1))
-    for t in range(_bs_matrix.cache_info().currsize, s):
-        _bs_matrix(t)  # each finds its predecessor cached: no deep recursion
-    prev = _bs_matrix(s - 1)
-    n = np.arange(s + 1, dtype=float)
-    c0, c1 = np.sqrt((s - n[:s]) / s), np.sqrt(n[1:] / s)
-    # rows: the split-off photon leaves in mode 2 (lo) or in mode 1 (hi)
-    lo = np.zeros((s + 1, s))
-    hi = np.zeros((s + 1, s))
-    np.multiply(c0[:, None], prev, out=lo[:s])
-    np.multiply(c1[:, None], prev, out=hi[1:])
-    # columns: it entered in mode 2 or in mode 1; B_1 = [[1, -1], [1, 1]]/sqrt(2)
-    b = np.zeros((s + 1, s + 1))
-    np.multiply(hi + lo, c0 * math.sqrt(0.5), out=b[:, :s])
-    hi -= lo
-    hi *= c1 * math.sqrt(0.5)
-    b[:, 1:] += hi
-    return b
+    return 0.5 * np.sqrt((n + 1.0) * (s - n))
 
 
-def _sector_floats(n_max: int) -> int:
-    """float64 values in the splitter sectors 0 .. 2 n_max: sum of (s+1)^2."""
-    top = 2 * n_max + 1
-    return top * (top + 1) * (2 * top + 1) // 6
+def _grid_floats(n_max: int) -> int:
+    """float64 values the (n, m) grid pass of ``hom_stats`` holds at once,
+    five per grid point: the complex amplitudes count two, and once they
+    are freed at most five real grids are alive."""
+    return 5 * (n_max + 1) ** 2
 
 
 def _largest_fitting_gain(floats) -> float:
@@ -170,48 +128,56 @@ def hom_stats(state: TmsvState, phi: float):
     cross-correlation of the two outputs.  For vacuum input g2_cross is
     undefined and returned as nan.
     """
+    if not math.isfinite(phi):
+        raise ValidationError(f"delay phase phi must be finite, got {phi}")
     c = state.amplitudes
     n_max = state.n_max
-    half = 0.5 * phi
-    floats = _sector_floats(n_max)
+    floats = _grid_floats(n_max)
     if floats > _MAX_FLOATS:
         raise ValidationError(
-            f"splitter sectors up to {2 * n_max} photons need {floats:.3g} float64 values, "
-            f"above the cap of {_MAX_FLOATS}; gains up to {_largest_fitting_gain(_sector_floats)} fit"
+            f"the {n_max + 1} x {n_max + 1} ladder grid needs {floats:.3g} float64 values, "
+            f"above the cap of {_MAX_FLOATS}; gains up to {_largest_fitting_gain(_grid_floats)} fit"
         )
 
-    # per sector s: the probability and the first two moments of beam 1's
-    # output count K = k1 + k2 (its counts at the +Omega and -Omega
-    # splitters), each weighted by the probability; beam 2 holds 2s - K
-    moments = []
-    for s in range(0, 2 * n_max + 1):
-        n_lo = max(0, s - n_max)
-        n_hi = min(s, n_max)
-        ns = np.arange(n_lo, n_hi + 1)
-        w = (c[ns] * c[s - ns]).astype(complex)
-        w *= np.exp(1j * (2 * ns - s) * half)
-        if not np.any(np.abs(w) > 1e-18):
-            continue
-        b = _bs_matrix(s)
-        b1 = b[:, ns]  # splitter at +Omega: beam-1 occupation n
-        b2 = b[:, s - ns]  # splitter at -Omega: beam-1 occupation m = s-n
-        amp = (b1 * w[None, :]) @ b2.T
-        p = np.abs(amp) ** 2
-        k = np.arange(s + 1, dtype=float)
-        marginals = p.sum(axis=1) + p.sum(axis=0)  # of k1 plus of k2
-        moments.append((s, p.sum(), k @ marginals, (k * k) @ marginals + 2.0 * (k @ p @ k)))
+    # w[n, m] = c_n c_m exp(i (n - m) phi/2): beam 1 holds n photons at
+    # +Omega and m at -Omega, both splitters see the sector s = n + m
+    idx = np.arange(n_max + 1.0)
+    a = c * np.exp(0.5j * phi * idx)
+    w = np.multiply.outer(a, a.conj())
+    # Re(w*[n, m] w[n+1, m-1]): the pair hop both splitters' T_s make together
+    cross = w.real[:-1, 1:] * w.real[1:, :-1]
+    cross += w.imag[:-1, 1:] * w.imag[1:, :-1]
+    p = np.abs(w)
+    del w
+    p *= p
+    n, m = idx[:, None], idx[None, :]
+    s = n + m
+    prob = float(p.sum())
+    if abs(prob - 1.0) > 1e-6:
+        raise ValidationError(f"ladder-grid expansion lost probability: total {prob}")
 
-    s, prob, e_k, e_k2 = np.array(moments).T
-    if abs(prob.sum() - 1.0) > 1e-6:
-        raise ValidationError(f"beamsplitter expansion lost probability: total {prob.sum()}")
-    n = 2.0 * s  # photons in the sector: N1 = K, N2 = n - K
-    e_n1, e_n2 = float(e_k.sum()), float(np.sum(n * prob - e_k))
-    var_diff = float(np.sum(4.0 * e_k2 - 4.0 * n * e_k + n * n * prob)) - (e_n1 - e_n2) ** 2
-    if e_n1 > 0 and e_n2 > 0:
-        g2_cross = float(np.sum(n * e_k - e_k2)) / (e_n1 * e_n2)
+    # K = k1 + k2 is T_s (x) 1 + 1 (x) T_s, and T_s's diagonal s/2 gives
+    # <K> = s on each grid point.  <(K - s)^2> collects the squared hops in
+    # (T_s^2)[n, n] and (T_s^2)[m, m], and the pair hop n -> n+1 at +Omega
+    # with m -> m-1 at -Omega, the only term the phase reaches
+    fluct = 0.0
+    for j in (n - 1.0, n, m - 1.0, m):
+        fluct += float(np.vdot(p, _hop(j, s) ** 2))
+    cross *= _hop(n[:-1], s[:-1, 1:])
+    cross *= _hop(m[:, 1:] - 1.0, s[:-1, 1:])
+    fluct += 4.0 * float(cross.sum())
+    del cross
+    p *= s
+    e_k = float(p.sum())
+    e_ss = float(np.vdot(p, s))  # <s^2> = <s K>
+    # N1 = K and N2 = 2 s - K: Var(N1 - N2) = 4 <(K - s)^2>, and the cross
+    # moment <N1 N2> = 2 <s K> - <K^2> = <s^2> - fluct
+    var_diff = 4.0 * fluct
+    if e_k > 0:
+        g2_cross = (e_ss - fluct) / (e_k * e_k)
     else:
         g2_cross = float("nan")
-    return var_diff, e_n1 + e_n2, g2_cross
+    return var_diff, 2.0 * e_k, g2_cross
 
 
 def nrf_single_mode(g: float, g_delayed: float, phi: float) -> float:

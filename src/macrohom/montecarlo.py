@@ -65,7 +65,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .gain import _bogoliubov, _half_angle, _half_max_angle, _v_abs, gain_at, omega_max_for, spectrum
-from .params import CrystalParams, DetectionModel, PumpParams, SpectralGrid
+from .params import CrystalParams, DetectionModel, PumpParams, SpectralGrid, _gl_rule
 
 _CHUNK = 256  # pulses per RNG stream; fixed so reruns are bit-identical
 _N_NORMALS = 24  # real normals per cluster: 12 complex vacuum inputs
@@ -407,7 +407,7 @@ def expected_stats(
     """
     k = lattice.n_freq_bins
     dw = lattice.bin_width
-    x_gl, w_gl = np.polynomial.legendre.leggauss(_QUAD_PER_BIN)
+    x_gl, w_gl = _gl_rule(_QUAD_PER_BIN)
     # nodes within each bin, weights normalized to a probability density
     centers = (np.arange(k) + 0.5) * dw
     omega = centers[:, None] + 0.5 * dw * x_gl[None, :]  # (k, q)

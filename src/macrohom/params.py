@@ -131,13 +131,13 @@ class DetectionModel:
 
 
 @functools.cache
-def _gl_rule():
-    """The _GL_ORDER-point Gauss-Legendre nodes and weights on [-1, 1],
-    built once per process, read-only since every grid shares them;
-    numpy.polynomial loads on the first grid."""
+def _gl_rule(order: int):
+    """The order-point Gauss-Legendre nodes and weights on [-1, 1], built
+    once per process and order, read-only since every caller shares them;
+    numpy.polynomial loads on the first call."""
     from numpy.polynomial.legendre import leggauss
 
-    x, w = leggauss(_GL_ORDER)
+    x, w = leggauss(order)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -184,7 +184,7 @@ class SpectralGrid:
         if n < 1:
             raise ValidationError("node count must be >= 1")
         panels = -(-n // _GL_ORDER)
-        x, w = _gl_rule()
+        x, w = _gl_rule(_GL_ORDER)
         edges = np.linspace(0.0, omega_max, panels + 1)
         half = 0.5 * (edges[1:] - edges[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from macrohom.cli import main
-from macrohom.fock import _bs_matrix, hom_stats, nrf_single_mode, tmsv
+from macrohom.fock import hom_stats, nrf_single_mode, tmsv
 from macrohom.gain import calibrate_walkoff, fit_gain_curve, uv_arrays
 from macrohom.montecarlo import (
     LatticeSpec,
@@ -172,7 +172,6 @@ def test_06_dip_visibility(crystal):
 
 
 def test_07_fock_oracle_equivalence():
-    _bs_matrix.cache_clear()
     t0 = time.monotonic()
     worst = 0.0
     for g in (0.2, 0.6, 1.0, 1.5):

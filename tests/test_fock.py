@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -115,6 +116,16 @@ class TestHomStats:
         assert n_total == pytest.approx(0.0, abs=1e-12)
         assert math.isnan(g2)
 
+    def test_unnormalised_state_loses_probability(self):
+        state = fock.TmsvState(amplitudes=0.5 * tmsv(0.5).amplitudes)
+        with pytest.raises(ValidationError, match="lost probability: total 0.0625"):
+            hom_stats(state, 0.0)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase(self, phi):
+        with pytest.raises(ValidationError, match="phi must be finite"):
+            hom_stats(tmsv(0.5), phi)
+
     def test_phase_average_kills_interference(self):
         g = 0.8
         state = tmsv(g)
@@ -171,6 +182,7 @@ class TestHomStats:
         assert g2_avg == pytest.approx(1.25 + 0.25 / nbar, rel=1e-6)
 
 
+@functools.lru_cache(maxsize=None)
 def binomial_bs_matrix(s):
     """The splitter's sector matrix from its closed form: with
     a1+ -> (a1+ - a2+)/sqrt(2) and a2+ -> (a1+ + a2+)/sqrt(2),
@@ -201,34 +213,72 @@ def eigen_bs_matrix(s):
     return (np.conj(phase)[:, None] * (m @ vec.T) * phase[None, :]).real
 
 
-@pytest.fixture
-def cold_splitter():
-    # start from an empty cache and leave an empty one behind: the 600-photon build
-    # caches about 580 MB
-    fock._bs_matrix.cache_clear()
-    yield fock._bs_matrix
-    fock._bs_matrix.cache_clear()
+def number_operator(s):
+    """hom_stats's T_s: beam 1's output count on the s-photon sector in the
+    input basis |n, s-n>, diagonal s/2 and off-diagonal fock._hop."""
+    hop = fock._hop(np.arange(s, dtype=float), float(s))
+    return np.diag(np.full(s + 1, 0.5 * s)) + np.diag(hop, 1) + np.diag(hop, -1)
 
 
-class TestBsMatrix:
+def sandwiched_count(b):
+    """B^T diag(k) B: the output-1 count pulled back through the splitter."""
+    k = np.arange(b.shape[0], dtype=float)
+    return b.T @ (k[:, None] * b)
+
+
+def brute_force_stats(state, phi):
+    """(var_diff, n_total, g2_cross) from the joint output distribution
+    p(k1, k2) of every sector, built from the closed-form splitter matrices:
+    amp[k1, k2] = sum_n B[k1, n] w_n B[k2, s - n]."""
+    c = state.amplitudes
+    n_max = state.n_max
+    e1 = e2 = e11 = e22 = e12 = 0.0
+    for s in range(2 * n_max + 1):
+        ns = np.arange(max(0, s - n_max), min(s, n_max) + 1)
+        w = c[ns] * c[s - ns] * np.exp(1j * (2 * ns - s) * 0.5 * phi)
+        b = binomial_bs_matrix(s)
+        p = np.abs((b[:, ns] * w) @ b[:, s - ns].T) ** 2
+        k = np.arange(s + 1, dtype=float)
+        n1 = k[:, None] + k[None, :]  # beam 1: k1 + k2
+        n2 = 2 * s - n1
+        e1 += np.sum(p * n1)
+        e2 += np.sum(p * n2)
+        e11 += np.sum(p * n1 * n1)
+        e22 += np.sum(p * n2 * n2)
+        e12 += np.sum(p * n1 * n2)
+    var_diff = e11 + e22 - 2.0 * e12 - (e1 - e2) ** 2
+    return var_diff, e1 + e2, e12 / (e1 * e2)
+
+
+class TestOutputNumberOperator:
     @pytest.mark.parametrize("s", range(13))
     def test_binomial_closed_form(self, s):
-        np.testing.assert_allclose(fock._bs_matrix(s), binomial_bs_matrix(s), rtol=0, atol=1e-13)
+        expected = sandwiched_count(binomial_bs_matrix(s))
+        np.testing.assert_allclose(number_operator(s), expected, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("s", [50, 117, 234])
     def test_eigendecomposition(self, s):
-        np.testing.assert_allclose(fock._bs_matrix(s), eigen_bs_matrix(s), rtol=0, atol=1e-12)
+        expected = sandwiched_count(eigen_bs_matrix(s))
+        np.testing.assert_allclose(number_operator(s), expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("s", [1, 2, 3, 117, 234])
-    def test_orthogonal(self, s):
-        b = fock._bs_matrix(s)
-        np.testing.assert_allclose(b @ b.T, np.eye(s + 1), rtol=0, atol=1e-12)
+    def test_spectrum_is_the_output_counts(self, s):
+        # an orthogonal splitter leaves the eigenvalues of diag(k): 0 .. s
+        eig = np.linalg.eigvalsh(number_operator(s))
+        np.testing.assert_allclose(eig, np.arange(s + 1.0), rtol=0, atol=1e-12)
 
-    def test_cold_large_sector(self, cold_splitter):
-        # built in a loop from the highest cached sector, not by recursion
-        b = cold_splitter(600)
-        assert cold_splitter.cache_info().currsize == 601
-        np.testing.assert_allclose(b @ b.T, np.eye(601), rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("phi", [0.0, 0.3, math.pi / 2.0, math.pi])
+    def test_joint_output_distribution(self, phi):
+        state = tmsv(0.2)
+        assert state.n_max == default_n_max(0.2)
+        var_diff, n_total, g2 = hom_stats(state, phi)
+        bf_var, bf_total, bf_g2 = brute_force_stats(state, phi)
+        # at phi = pi the variance sits at the rounding floor, so its yardstick
+        # is the peak variance at phi = 0
+        peak = brute_force_stats(state, 0.0)[0]
+        assert var_diff == pytest.approx(bf_var, rel=1e-12, abs=1e-12 * peak)
+        assert n_total == pytest.approx(bf_total, rel=1e-12)
+        assert g2 == pytest.approx(bf_g2, rel=1e-12)
 
 
 class TestMemoryGuard:
@@ -237,20 +287,43 @@ class TestMemoryGuard:
 
         assert fock._MAX_FLOATS == montecarlo._MAX_FLOATS
 
-    def test_sector_floats(self):
-        for n_max in (0, 1, 7, 117):
-            expected = sum((s + 1) ** 2 for s in range(2 * n_max + 1))
-            assert fock._sector_floats(n_max) == expected
+    def test_grid_floats_is_what_the_pass_holds(self):
+        import tracemalloc
+
+        state = tmsv(2.5)  # an 857 x 857 grid, 29 MB counted
+        counted = 8 * fock._grid_floats(state.n_max)
+        tracemalloc.start()
+        try:
+            hom_stats(state, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.95 * counted <= peak <= 1.01 * counted
 
     def test_refuses_before_building(self):
-        before = fock._bs_matrix.cache_info().currsize
-        with pytest.raises(ValidationError, match=r"gains up to 2\.077 fit"):
-            hom_stats(tmsv(3.0), 0.0)
-        assert fock._bs_matrix.cache_info().currsize == before
+        import tracemalloc
+
+        state = tmsv(3.5)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"gains up to 3\.401 fit"):
+                hom_stats(state, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (state.n_max + 1) ** 2 / 100  # not one grid row in a hundred
 
     def test_named_gain_is_the_largest_that_fits(self):
-        fits = fock._sector_floats(default_n_max(2.077))
-        assert fits <= fock._MAX_FLOATS < fock._sector_floats(default_n_max(2.078))
+        fits = fock._grid_floats(default_n_max(3.401))
+        assert fits <= fock._MAX_FLOATS < fock._grid_floats(default_n_max(3.402))
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 2.0, math.pi])
+    def test_gain_above_the_old_sector_cap(self, phi):
+        g = 2.5
+        var_diff, n_total, _ = hom_stats(tmsv(g), phi)
+        peak = nrf_single_mode(g, g, 0.0)
+        expected = nrf_single_mode(g, g, phi)
+        assert var_diff / n_total == pytest.approx(expected, rel=1e-6, abs=1e-6 * peak)
 
 
 def test_import_loads_no_optimizer_or_sampler():
