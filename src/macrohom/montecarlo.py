@@ -29,20 +29,19 @@ interference term carries Re(u^2) cos(2 Omega tau), matching the even
 (walk-off compensated) convention of the trace module.
 
 The sampler applies the uniform detection loss eta before the 50:50
-splitter and the window/complement rotation instead of after them.  Both
-are passive unitaries, which map i.i.d. vacuum onto i.i.d. vacuum, so
-the detected modes keep their joint distribution; the window and
-complement vacua stay vacua under the loss, so only the four twin modes
-draw loss vacua.  The -Omega pair's top-up vacua each enter one twin
-mode only, a1- and a2+, as that mode's loss vacuum does, so each merges
-with it into one vacuum of variance eta tc^2 + 1 - eta.  That leaves 12
-complex vacuum inputs, 24 real normals, per cluster.  The detector modes
-are never formed: for each splitter input pair (x, y)
+splitter and the window/complement rotation: both are passive unitaries,
+which carry i.i.d. vacuum to i.i.d. vacuum, so the window and complement
+inputs stay vacua.  Each lossy twin pair, (a1+, a2-) and (a1-, a2+), is
+then a two-mode squeezed thermal state up to local phases (Weedbrook et
+al., Rev. Mod. Phys. 84, 621 (2012)), drawn exactly from two complex
+normals: 8 complex inputs, 16 real normals, per cluster.  The detector
+modes are never formed: for each splitter input pair (x, y)
 
     S1 + S2 = sum |x|^2 + |y|^2 - 1/2 per mode,   S1 - S2 = 2 sum Re(x y*),
 
-reduced per pulse in real arithmetic.  :func:`expected_stats` keeps the
-loss after the splitters, so it checks this equivalence independently.
+reduced per pulse in real arithmetic.  :func:`expected_stats` builds the
+pairs from their Bogoliubov maps and keeps the loss after the splitters,
+so it checks the sampler's construction independently.
 
 Per-pulse signals are summed over all cells; the ensemble estimators and
 their jackknife standard errors follow the measured definitions
@@ -68,7 +67,7 @@ from .gain import _bogoliubov, _half_angle, _half_max_angle, _v_abs, gain_at, om
 from .params import CrystalParams, DetectionModel, PumpParams, SpectralGrid, _gl_rule
 
 _CHUNK = 256  # pulses per RNG stream; fixed so reruns are bit-identical
-_N_NORMALS = 24  # real normals per cluster: 12 complex vacuum inputs
+_N_NORMALS = 16  # real normals per cluster: 8 complex inputs
 RNG_STREAM = (
     f"SFC64(SeedSequence([seed, chunk])), {_CHUNK}-pulse chunks, {_N_NORMALS} normals per cluster"
 )
@@ -76,7 +75,7 @@ _BLOCK = 16384  # clusters per arithmetic block, sized to stay in cache
 _QUAD_PER_BIN = 64  # Gauss-Legendre nodes per lattice bin in expected_stats
 _PER_PULSE = 9  # float64 per pulse: s1, s2 and the jackknife temporaries
 # cap on an ensemble's estimated float64 working set, 2^27 values (1 GiB):
-# about 39x the reference run of 30 000 pulses, 10 modes and 48 bins
+# about 54x the reference run of 30 000 pulses, 10 modes and 48 bins
 _MAX_FLOATS = 2**27
 
 
@@ -149,81 +148,66 @@ def derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([int(seed), int(index)]).generate_state(1, np.uint64)[0])
 
 
-def _pair_coefficients(omega, tau: float, crystal: CrystalParams, pump: PumpParams):
-    """Per-cluster coefficients shared by the sampler and its Wick moments.
+def _twin_factors(omega, tau: float, crystal: CrystalParams, pump: PumpParams, eta: float):
+    """The sampler's per-cluster (A+, B+, A-, B-, sign, r).
 
-    Returns (u0, v0, r, uc, vc, tc): the +Omega pair Bogoliubov pair
-    (u0, v0); the window amplitude ratio r; and the compensated -Omega
-    pair construction (uc, vc) plus its thermal top-up tc chosen so that
-    <a1- a2+> = v0 Re(u0^2)/u0*, which makes the interference term carry
-    exactly Re(u0^2) cos(2 Omega tau) while keeping both occupations at
-    v0^2.
+    Each lossy twin pair is drawn as a = A z1 + B z2*, b = A z2 + B z1*,
+    A^2 + B^2 = P = <|a|^2> = 1 + 2 eta v0^2 and 2AB = |C| = |<ab>|, with
+    |C+| = 2 eta |u0| v0, |C-| = 2 eta v0 |Re u0^2|/|u0| and ``sign`` =
+    sign(Re u0^2).  A + B = sqrt(P + |C|); P - |C| is summed from
+    nonnegative terms, (1 - eta) + eta/(|u0| + v0)^2 for the +Omega pair,
+    plus 2 eta v0 (Im u0^2)^2/(|u0| (|u0|^2 + |Re u0^2|)) for the -Omega
+    pair.  r is the window amplitude ratio.
     """
     x = _half_angle(omega, crystal)
     u0, v0 = _bogoliubov(float(gain_at(0.0, pump)), x)
     vt = _v_abs(float(gain_at(tau, pump)), x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(v0 > 0, np.minimum(vt / np.where(v0 > 0, v0, 1.0), 1.0), 1.0)
+        r = np.fmin(vt / v0, 1.0)  # 1 where v0 = 0
 
-    n = v0 * v0
-    re_u2 = u0.real**2 - u0.imag**2
-    mu_c = v0 * re_u2 / np.conj(u0)
-    abs_mu = np.abs(mu_c)
-    vc = np.sqrt(abs_mu)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uc = np.where(abs_mu > 0, mu_c / np.where(abs_mu > 0, vc, 1.0), 0.0)
-    tc = np.sqrt(np.maximum(2.0 * n + 1.0 - 2.0 * abs_mu, 0.0))
-    return u0, v0, r, uc, vc, tc
+    u2 = u0 * u0
+    au2 = 1.0 + v0 * v0  # |u0|^2
+    au = np.sqrt(au2)
+    re_abs = np.abs(u2.real)
+    k = 2.0 * eta * v0
+    p, c_p, c_m = 1.0 + k * v0, k * au, k * (re_abs / au)  # k * re_abs overflows at high gain
+    gap_p = (1.0 - eta) + eta / (au + v0) ** 2
+    gap_m = gap_p + k * (u2.imag / au) * (u2.imag / (au2 + re_abs))  # as (Im u0^2)^2 does
+    sum_p = np.sqrt(p + c_p) + np.sqrt(gap_p)  # 2A = (A + B) + (A - B)
+    sum_m = np.sqrt(p + c_m) + np.sqrt(gap_m)
+    return 0.5 * sum_p, c_p / sum_p, 0.5 * sum_m, c_m / sum_m, np.copysign(1.0, u2.real), r
 
 
 def _block_signals(omega, normals, tau, crystal, pump, eta):
     """Per-pulse (S1 + S2, S1 - S2) from each cluster's ``normals``.
 
-    Rows of ``normals`` come in (re, im) pairs: z1p, z2m, z1m, z2p (pair
-    vacua), the loss vacua of the four twin modes, h+, h- (window) and
-    v+, v- (complement).  Those of a1- and a2+ also stand for the
-    pair-C top-ups y1m, y2p, which enter only those modes.  Amplitudes
-    are carried at twice their Wigner scale, so each vacuum input is
-    a + ib with unit-normal a, b.
+    Rows of ``normals`` come in (re, im) pairs: z1, z2 of the +Omega pair
+    (a1+, a2-), z3, z4 of the -Omega pair (a1-, a2+), h+, h- (window)
+    and v+, v- (complement).  Amplitudes are carried at twice their
+    Wigner scale, so each input is a + ib with unit-normal a, b.
     """
-    u0, v0, r, uc, vc, tc = _pair_coefficients(omega, tau, crystal, pump)
+    a_p, b_p, a_m, b_m, sign, r = _twin_factors(omega, tau, crystal, pump, eta)
+    # the pairs' relative phase sign(Re u0^2) exp(-2 i Omega tau) goes onto a1-
+    ph_c, ph_s = sign * np.cos(2.0 * tau * omega), sign * np.sin(2.0 * tau * omega)
+    ka_r, ka_i, kb_r, kb_i = ph_c * a_m, -ph_s * a_m, ph_c * b_m, -ph_s * b_m
 
-    # the uniform loss acts before the splitter and the window rotation:
-    # both are passive, so they carry i.i.d. loss vacua to i.i.d. vacua
-    # and the h, v inputs absorb them.  Only the relative delay phase
-    # exp(2 i Omega tau) of the +Omega and -Omega pairs is observable, so
-    # a phase rotation of each pair's independent inputs moves all of it
-    # onto the delayed -Omega mode.
-    amp = math.sqrt(eta)
-    ku_r, ku_i, kv = amp * u0.real, amp * u0.imag, amp * v0
-    cu_r, cu_i, cv, ct = amp * uc.real, amp * uc.imag, amp * vc, amp * tc
-    ph_c, ph_s = np.cos(2.0 * tau * omega), np.sin(2.0 * tau * omega)
-    pu_r = ph_c * cu_r + ph_s * cu_i  # exp(-2 i Omega tau) uc
-    pu_i = ph_c * cu_i - ph_s * cu_r
-    pv_r, pv_i = ph_c * cv, -ph_s * cv  # exp(-2 i Omega tau) vc
-
-    z1p_r, z1p_i, z2m_r, z2m_i, z1m_r, z1m_i, z2p_r, z2p_i = normals[:8]
-    # rows: the delayed beam's +Omega and -Omega modes, then their splitter
-    # partners a2+ and a2-; the loss vacua rows come in the same order.
-    # a1- and a2+ draw their top-up ct y and loss vacuum as one normal of
-    # variance ct^2 + 1 - eta
-    xy = np.multiply(normals[8:16], math.sqrt(1.0 - eta))
-    xy[2:6] = normals[10:14] * np.sqrt(ct * ct + (1.0 - eta))
-    xy[0] += ku_r * z1p_r - ku_i * z1p_i + kv * z2m_r
-    xy[1] += ku_i * z1p_r + ku_r * z1p_i - kv * z2m_i
-    xy[2] += pu_r * z1m_r - pu_i * z1m_i + pv_r * z2p_r + pv_i * z2p_i
-    xy[3] += pu_i * z1m_r + pu_r * z1m_i + pv_i * z2p_r - pv_r * z2p_i
-    xy[4] += cu_r * z2p_r - cu_i * z2p_i + cv * z1m_r
-    xy[5] += cu_i * z2p_r + cu_r * z2p_i - cv * z1m_i
-    xy[6] += ku_r * z2m_r - ku_i * z2m_i + kv * z1p_r
-    xy[7] += ku_i * z2m_r + ku_r * z2m_i - kv * z1p_i
+    z1_r, z1_i, z2_r, z2_i, z3_r, z3_i, z4_r, z4_i = normals[:8]
+    # rows: the delayed beam's modes a1+, a1-, then their partners a2+, a2-
+    xy = np.empty_like(normals[:8])
+    xy[0] = a_p * z1_r + b_p * z2_r
+    xy[1] = a_p * z1_i - b_p * z2_i
+    xy[2] = ka_r * z3_r - ka_i * z3_i + kb_r * z4_r + kb_i * z4_i
+    xy[3] = ka_i * z3_r + ka_r * z3_i + kb_i * z4_r - kb_r * z4_i
+    xy[4] = a_m * z4_r + b_m * z3_r
+    xy[5] = a_m * z4_i - b_m * z3_i
+    xy[6] = a_p * z2_r + b_p * z1_r
+    xy[7] = a_p * z2_i - b_p * z1_i
 
     # splitter input pairs (w, a2) and (c, v), with window w = r x + s h
     # and complement c = r h - s x of each delayed mode x.  Per delayed
     # mode S1 - S2 = 2 Re(w a2* + c v*) and S1 + S2 = |w|^2 + |a2|^2 +
     # |c|^2 + |v|^2 - 2, where |w|^2 + |c|^2 = |x|^2 + |h|^2.
-    x, y = xy[:4], xy[4:]
-    hv = normals[16:]
+    x, y, hv = xy[:4], xy[4:], normals[8:]
     h, v = hv[:4], hv[4:]
     s = np.sqrt(1.0 - r * r)
     norm = np.einsum("rpc,rpc->p", xy, xy) + np.einsum("rpc,rpc->p", hv, hv)
@@ -237,9 +221,9 @@ def _block_signals(omega, normals, tau, crystal, pump, eta):
 
 
 def _ensemble_floats(det: DetectionModel, lattice: LatticeSpec) -> int:
-    """Estimated float64 working set of one ensemble: normals, jitter and
-    detunings per chunk, plus the per-pulse arrays.  Raises when it alone
-    is above ``_MAX_FLOATS``."""
+    """Estimated float64 working set of one ensemble: 18 floats per cluster
+    and chunk pulse (16 normals, jitter, detuning), plus the per-pulse
+    arrays.  Raises when it alone is above ``_MAX_FLOATS``."""
     n, clusters = det.n_pulses, det.m_modes * lattice.n_freq_bins
     floats = (_N_NORMALS + 2) * min(_CHUNK, n) * clusters + _PER_PULSE * n
     if floats > _MAX_FLOATS:
@@ -306,23 +290,28 @@ def simulate_ensemble(
             c1 += noise_amp * rng.standard_normal(npc)
             c2 += noise_amp * rng.standard_normal(npc)
 
-    return _estimate(s1, s2)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the finite check
+        return _estimate(s1, s2)
 
 
 def _estimate(s1, s2) -> EnsembleStats:
     n = s1.size
     mean1 = float(np.mean(s1))
     mean2 = float(np.mean(s2))
-    if not (mean1 > 0 and mean2 > 0):
+    se1, se2 = (float(np.std(s, ddof=1)) / math.sqrt(n) for s in (s1, s2))
+    # a ratio's one-se (Fieller) interval is bounded only where its denominator is more
+    # than one se above zero; a mean of nonnegative values is never below its se
+    if not (mean1 > se1 and mean2 > se2):
         raise NumericalError(
-            f"ensemble mean signals must be > 0 to normalize, got {mean1} and {mean2}"
+            f"ensemble mean signals must be > 0 to normalize, by more than one standard error; "
+            f"got {mean1} (se {se1}) and {mean2} (se {se2})"
         )
     d = s1 - s2
 
     sum_d = float(np.sum(d))
     sum_d2 = float(np.sum(d * d))
     sum_t = float(np.sum(s1 + s2))
-    var_d = (sum_d2 - sum_d**2 / n) / (n - 1)
+    var_d = (sum_d2 - sum_d * sum_d / n) / (n - 1)
     nrf_hat = var_d / (sum_t / n)
 
     sum_1 = float(np.sum(s1))
@@ -340,12 +329,10 @@ def _estimate(s1, s2) -> EnsembleStats:
     theta_g2 = nm1 * (sum_12 - s1 * s2) / ((sum_1 - s1) * (sum_2 - s2))
     se_g2 = math.sqrt(nm1 / n * float(np.sum((theta_g2 - np.mean(theta_g2)) ** 2)))
 
-    return EnsembleStats(
-        nrf_hat=float(nrf_hat),
-        g2_hat=float(g2_hat),
-        se_nrf=se_nrf,
-        se_g2=se_g2,
-    )
+    stats = EnsembleStats(float(nrf_hat), float(g2_hat), se_nrf, se_g2)
+    if not all(map(math.isfinite, (stats.nrf_hat, stats.g2_hat, se_nrf, se_g2))):
+        raise NumericalError(f"ensemble estimates overflow float64: {stats}")
+    return stats
 
 
 def dip_scan(
@@ -397,8 +384,9 @@ def expected_stats(
     """Exact Wick moments of the sampled ensemble at delay ``tau``.
 
     Returns (mean_s1, nrf, g2): the values the estimators of
-    :func:`simulate_ensemble` converge to.  Computed from the same
-    per-cluster linear construction, via the complex-Gaussian moment
+    :func:`simulate_ensemble` converge to.  Computed from a per-cluster
+    linear map of its own (Bogoliubov pairs, top-up and loss vacua, loss
+    after the splitters), via the complex-Gaussian moment
     identity Cov(|p|^2, |q|^2) = |<p q*>|^2 + |<p q>|^2, integrated over
     the jittered detuning distribution (uniform within each lattice bin).
     The bin jitter also makes each cluster's conditional mean a shared
@@ -413,7 +401,19 @@ def expected_stats(
     omega = centers[:, None] + 0.5 * dw * x_gl[None, :]  # (k, q)
     weights = np.broadcast_to(0.5 * w_gl[None, :], omega.shape)  # sums to 1 per bin
 
-    u0, v0, r, uc, vc, tc = _pair_coefficients(omega, tau, crystal, pump)
+    x = _half_angle(omega, crystal)
+    u0, v0 = _bogoliubov(float(gain_at(0.0, pump)), x)
+    vt = _v_abs(float(gain_at(tau, pump)), x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(v0 > 0, np.minimum(vt / np.where(v0 > 0, v0, 1.0), 1.0), 1.0)
+    # the -Omega pair (uc, vc) and a thermal top-up tc give <a1- a2+> = v0 Re(u0^2)/u0*
+    # and occupations v0^2: the interference term carries Re(u0^2) cos(2 Omega tau)
+    mu_c = v0 * (u0.real**2 - u0.imag**2) / np.conj(u0)
+    abs_mu = np.abs(mu_c)
+    vc = np.sqrt(abs_mu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uc = np.where(abs_mu > 0, mu_c / np.where(abs_mu > 0, vc, 1.0), 0.0)
+    tc = np.sqrt(np.maximum(2.0 * v0 * v0 + 1.0 - 2.0 * abs_mu, 0.0))
     eta = det.eta
     phase = np.exp(1j * omega * tau)
     s = np.sqrt(1.0 - r * r)

@@ -8,6 +8,7 @@ import math
 import os
 import pathlib
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -432,10 +433,10 @@ class TestNonFiniteInputs:
                 "[pump]\npulse_fwhm_ps = 1e308\n[detection]\npulses = 4\n",
                 "no finite number of lattice slices",
             ),
-            # one ensemble of 256 pulses x 11000 clusters fits; two at once do not
+            # one ensemble of 256 pulses x 15000 clusters fits; two at once do not
             (
                 "mc --threads 2",
-                "[detection]\nmodes = 10\npulses = 256\n[mc]\nn_freq_bins = 1100\n",
+                "[detection]\nmodes = 10\npulses = 256\n[mc]\nn_freq_bins = 1500\n",
                 "the thread count must be <= 1",
             ),
         ],
@@ -518,12 +519,43 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == ["run.ini"]
 
     def test_undefined_ensemble_ratio_maps_to_3(self, tmp_path, capsys):
-        # at this seed the electronic noise drives one detector's mean signal
-        # below zero, where nrf and g2 are undefined
+        # the electronic noise swamps both mean signals, where nrf and g2
+        # are undefined
         cfg = "[detection]\nnoise_var = 1e20\npulses = 4\n[mc]\ntau_points = 0.0\n"
         assert run(tmp_path, "mc", cfg) == 3
         assert "mean signals must be > 0" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["run.ini"]
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            # both means come out positive but within one standard error,
+            # where the ratios have no bounded interval
+            (1, "by more than one standard error"),
+            # the squared noise overflows float64 in the variance sums
+            (2, "ensemble estimates overflow float64"),
+        ],
+    )
+    def test_noise_swamped_ensemble_maps_to_3(self, tmp_path, capsys, seed, message):
+        cfg = (
+            "[detection]\npulses = 3\nmodes = 1\nnoise_var = 1e308\n"
+            "[mc]\ntau_points = 0.0\nn_freq_bins = 2\n"
+        )
+        assert run(tmp_path, "mc", cfg, ["--seed", str(seed)]) == 3
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.ini"]
+
+    @pytest.mark.parametrize("gain", ["300", "355.5"])
+    def test_overflowing_gain_fails_without_warnings(self, tmp_path, capsys, gain):
+        # (Im u0^2)^2 and |Re u0^2| v0 pass float64's range above gains of
+        # about 178 and 237; the pair factors never form them, so the run
+        # ends on the ensemble's overflowing variance with one message
+        cfg = f"[pump]\ngain = {gain}\n[detection]\npulses = 3\nmodes = 1\n"
+        cfg += "[mc]\nn_freq_bins = 2\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(tmp_path, "mc", cfg) == 3
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_bad_last_delay_fails_before_any_ensemble(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -627,6 +659,74 @@ def test_combined_keys_give_finite_csv_or_exit_with_message(command, sections):
         if code:
             assert err.getvalue().strip()
         else:
+            manifest = json.loads(
+                (out / "manifest.json").read_text(), parse_constant=reject_constant
+            )
+            (name,) = manifest["outputs"]
+            _, rows = read_csv(out / name)
+            assert rows and all(math.isfinite(v) for row in rows for v in row)
+
+
+# [detection] and [mc] keys that the mc property draws together
+MC_COMBINED_KEYS = [
+    ("detection", "efficiency"),
+    ("detection", "modes"),
+    ("detection", "noise_var"),
+    ("detection", "pulses"),
+    ("mc", "n_freq_bins"),
+    ("mc", "tau_points"),
+]
+
+
+@st.composite
+def mc_config(draw):
+    """Every [detection] and [mc] key set at once, to an ordinary value or,
+    for up to two keys, to a special one.  The efficiency takes 1.0 and
+    values near 0 as well; delays reach past the 6 sigma bound (about
+    65 ps).  At most 48 pulses, 12 modes and 64 bins: these bounds are for
+    runtime only."""
+    efficiency = st.one_of(
+        st.just(1.0), st.sampled_from([5e-324, 1e-300, 1e-12]), st.floats(1e-6, 1.0)
+    )
+    delays = st.lists(st.floats(-70.0, 70.0), min_size=1, max_size=3)
+    noise = st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(0.0, 1e300))
+    sections = {
+        "detection": {
+            "efficiency": repr(draw(efficiency)),
+            "modes": str(draw(st.integers(1, 12))),
+            "noise_var": repr(draw(noise)),
+            "pulses": str(draw(st.integers(1, 48))),
+        },
+        "mc": {
+            "n_freq_bins": str(draw(st.integers(1, 64))),
+            "tau_points": ",".join(map(repr, draw(delays))),
+        },
+    }
+    for section, key in draw(st.lists(st.sampled_from(MC_COMBINED_KEYS), max_size=2, unique=True)):
+        sections[section][key] = draw(st.sampled_from(SPECIAL_VALUES))
+    return sections
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sections=mc_config())
+def test_mc_combined_keys_give_finite_csv_or_one_message(sections):
+    text = "".join(
+        f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for s, kv in sections.items()
+    )
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = pathlib.Path(tmp)
+        code = run(out, "mc", text)  # an uncaught exception (exit 1) fails here
+        event(f"exit {code}")
+        assert code in (0, 2, 3, 4)
+        assert not caught, [str(w.message) for w in caught]
+        lines = err.getvalue().splitlines()
+        if code:
+            assert len(lines) == 1 and lines[0].strip(), lines
+        else:
+            assert not lines, lines
             manifest = json.loads(
                 (out / "manifest.json").read_text(), parse_constant=reject_constant
             )

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from macrohom.errors import NumericalError, ValidationError
-from macrohom.gain import _half_angle, _v_abs
+from macrohom.gain import _bogoliubov, _half_angle, _v_abs
 from macrohom.montecarlo import (
     _QUAD_PER_BIN,
     LatticeSpec,
+    _twin_factors,
     derive_seed,
     dip_scan,
     expected_stats,
@@ -119,11 +120,12 @@ class TestSimulateEnsemble:
 
     @pytest.mark.parametrize("eta", [0.03, 0.3, 1.0])
     @pytest.mark.parametrize("tau", [0.0, 45.0])
-    def test_merged_vacuum_matches_exact_moments(self, crystal, lattice, eta, tau):
-        # a1- and a2+ draw their top-up and loss vacua as one normal;
-        # expected_stats keeps them apart and the loss after the splitters.
-        # At eta = 1 the merged vacuum is the top-up alone.  At 10 000
-        # pulses, dropping the top-up moves g2_hat by about 6.5 se at 45 ps
+    def test_lossy_pair_draw_matches_exact_moments(self, crystal, lattice, eta, tau):
+        # the sampler draws each lossy twin pair from two complex normals
+        # (TestTwinFactors checks that draw without sampling);
+        # expected_stats builds the pairs from their Bogoliubov maps, with
+        # top-up and loss vacua and the loss after the splitters.  At eta = 1
+        # the pairs carry no loss
         det = small_det(n_pulses=10_000, eta=eta)
         st = simulate_ensemble(crystal, PUMP, det, lattice, tau, seed=91)
         _, nrf_e, g2_e = expected_stats(crystal, PUMP, det, lattice, tau)
@@ -151,6 +153,88 @@ class TestSimulateEnsemble:
 
     def test_wigner_guard(self, crystal, lattice):
         assert wigner_cell_occupancy(crystal, PUMP, lattice) >= 10.0
+
+
+def previous_pair_moments(omega, tau, crystal, pump, eta):
+    """(<|a|^2>, <|b|^2>, <ab>) of the +Omega pair (a1+, a2-) and the
+    -Omega pair (a1-, a2+) as the sampler built them before drawing each
+    pair from two normals: Bogoliubov maps of the pair vacua, the
+    compensated -Omega construction (uc, vc), and for a1- and a2+ one
+    normal of variance eta tc^2 + 1 - eta for the top-up and loss vacua;
+    the delay phase exp(-2 i Omega tau) on a1-, unit complex normals."""
+    u0, v0 = _bogoliubov(pump.g_peak, _half_angle(omega, crystal))
+    mu_c = v0 * (u0.real**2 - u0.imag**2) / np.conj(u0)
+    vc = np.sqrt(np.abs(mu_c))
+    uc = mu_c / vc
+    tc2 = 2.0 * v0 * v0 + 1.0 - 2.0 * np.abs(mu_c)
+    occ_p = eta * (np.abs(u0) ** 2 + v0 * v0) + 1.0 - eta
+    occ_m = eta * (np.abs(uc) ** 2 + vc * vc) + eta * tc2 + 1.0 - eta
+    phase = np.exp(-2j * omega * tau)
+    return (occ_p, occ_p, 2.0 * eta * u0 * v0), (occ_m, occ_m, 2.0 * eta * phase * uc * vc)
+
+
+class TestTwinFactors:
+    """The sampler's pair draw a = A z1 + B z2*, b = A z2 + B z1*, with
+    the relative phase sign(Re u0^2) exp(-2 i Omega tau) on a1-."""
+
+    @pytest.mark.parametrize("eta", [0.03, 0.3, 1.0])
+    @pytest.mark.parametrize("gain", [0.2, 7.5, 12.0])
+    @pytest.mark.parametrize("tau", [0.0, 2.5, 45.0])
+    def test_same_distribution_as_previous_construction(self, crystal, eta, gain, tau):
+        # a pair of zero-mean circular Gaussian modes is fixed in
+        # distribution by <|a|^2>, <|b|^2> and <ab>; the phase of <ab> in
+        # each pair is local, and only the pairs' relative phase is observable
+        pump = PumpParams(g_peak=gain)
+        span = LatticeSpec.default(crystal, pump, n_freq_bins=48).omega_max
+        omega = np.linspace(0.0, span, 1001)
+        a_p, b_p, a_m, b_m, sign, _ = _twin_factors(omega, tau, crystal, pump, eta)
+        phase = sign * np.exp(-2j * omega * tau)
+        new = (a_p**2 + b_p**2, a_p**2 + b_p**2, 2.0 * a_p * b_p), (
+            a_m**2 + b_m**2, a_m**2 + b_m**2, 2.0 * a_m * b_m * phase)
+        old = previous_pair_moments(omega, tau, crystal, pump, eta)
+        for got, want in zip(new, old):
+            np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(np.abs(got[2]), np.abs(want[2]), rtol=1e-12, atol=0)
+        ratio_new, ratio_old = new[1][2] / new[0][2], old[1][2] / old[0][2]
+        np.testing.assert_allclose(
+            ratio_new / np.abs(ratio_new), ratio_old / np.abs(ratio_old), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("gain", [0.2, 1.0, 4.0, 7.5, 12.0])
+    def test_unit_efficiency_gives_the_bogoliubov_pair(self, crystal, gain):
+        # at eta = 1, A - B = |u0| - v0 = 1/(|u0| + v0): a float P - |C|
+        # would lose it to rounding (about 1e-6 absolute at gain 12) and
+        # move A off |u0| by about 1/(4 v0^2)
+        pump = PumpParams(g_peak=gain)
+        span = LatticeSpec.default(crystal, pump, n_freq_bins=48).omega_max
+        omega = np.linspace(0.0, span, 2001)
+        a_p, b_p, _, _, _, _ = _twin_factors(omega, 0.0, crystal, pump, 1.0)
+        u0, v0 = _bogoliubov(gain, _half_angle(omega, crystal))
+        ulps = 4.0 * np.finfo(float).eps
+        np.testing.assert_allclose(a_p, np.abs(u0), rtol=ulps, atol=0)
+        np.testing.assert_allclose(b_p, v0, rtol=ulps, atol=0)
+
+    def test_gap_never_negative(self, crystal):
+        # A - B = sqrt(P - |C|) for both pairs; where P - |C| taken as a
+        # float difference goes negative, the factors must stay finite
+        # with 0 <= B <= A up to the rounding of A
+        below = 1.0 + 4.0 * np.finfo(float).eps
+        naive_negative = 0
+        for gain in (0.2, 7.5, 12.0, 20.0, 50.0):
+            pump = PumpParams(g_peak=gain)
+            span = LatticeSpec.default(crystal, pump, n_freq_bins=48).omega_max
+            omega = np.linspace(0.0, span, 4001)
+            v0 = _v_abs(gain, _half_angle(omega, crystal))
+            for eta in (1e-300, 1e-12, 0.03, 0.5, 1.0 - 1e-12, 1.0):
+                factors = _twin_factors(omega, 0.0, crystal, pump, eta)
+                assert all(np.all(np.isfinite(f)) for f in factors)
+                a_p, b_p, a_m, b_m, _, _ = factors
+                for a, b in ((a_p, b_p), (a_m, b_m)):
+                    assert np.all((0.0 <= b) & (b <= a * below))
+                au = np.sqrt(1.0 + v0 * v0)
+                naive_negative += np.sum(1.0 + 2.0 * eta * v0 * v0 - 2.0 * eta * au * v0 < 0.0)
+        assert naive_negative > 0
 
 
 class TestExpectedStats:
