@@ -41,7 +41,10 @@ modes are never formed: for each splitter input pair (x, y)
 
 reduced per pulse in real arithmetic.  :func:`expected_stats` builds the
 pairs from their Bogoliubov maps and keeps the loss after the splitters,
-so it checks the sampler's construction independently.
+so it checks the sampler's construction independently; from those it
+sums closed-form Wick moments per quadrature node, in n = v0^2, Re u0^2,
+the window ratio r and cos(2 Omega tau), and forms Var(S1 - S2) directly
+rather than as a near-cancelling difference of the detectors' moments.
 
 Per-pulse signals are summed over all cells; the ensemble estimators and
 their jackknife standard errors follow the measured definitions
@@ -299,6 +302,12 @@ def _estimate(s1, s2) -> EnsembleStats:
     mean1 = float(np.mean(s1))
     mean2 = float(np.mean(s2))
     se1, se2 = (float(np.std(s, ddof=1)) / math.sqrt(n) for s in (s1, s2))
+    # np.std squares the signals, which overflows above about 1e154
+    if not all(map(math.isfinite, (mean1, mean2, se1, se2))):
+        raise NumericalError(
+            f"ensemble estimates overflow float64: mean signals {mean1} (se {se1}) "
+            f"and {mean2} (se {se2})"
+        )
     # a ratio's one-se (Fieller) interval is bounded only where its denominator is more
     # than one se above zero; a mean of nonnegative values is never below its se
     if not (mean1 > se1 and mean2 > se2):
@@ -384,99 +393,52 @@ def expected_stats(
     """Exact Wick moments of the sampled ensemble at delay ``tau``.
 
     Returns (mean_s1, nrf, g2): the values the estimators of
-    :func:`simulate_ensemble` converge to.  Computed from a per-cluster
-    linear map of its own (Bogoliubov pairs, top-up and loss vacua, loss
-    after the splitters), via the complex-Gaussian moment
-    identity Cov(|p|^2, |q|^2) = |<p q*>|^2 + |<p q>|^2, integrated over
-    the jittered detuning distribution (uniform within each lattice bin).
-    The bin jitter also makes each cluster's conditional mean a shared
-    random variable of both detectors; that common-mode variance adds to
-    the cross covariance (and cancels exactly in the difference signal).
+    :func:`simulate_ensemble` converge to, integrated over the jittered
+    detuning distribution (uniform within each lattice bin).  Each pair
+    comes from its own Bogoliubov map: <a1+ a2-> = u0 v0 and <a1- a2+> =
+    mu = v0 Re(u0^2)/u0*, n = v0^2 photons per mode, with the delay phase
+    exp(+/- i Omega tau) on a1+/-.  The loss acts after the splitters; the
+    complex-Gaussian identity Cov(|p|^2, |q|^2) = |<p q*>|^2 + |<p q>|^2
+    then gives per cluster, with I = Re(<a1+ a2-> <a1- a2+>*) =
+    n Re(u0^2) cos(2 Omega tau) and s^2 = 1 - r^2:
+
+        <S1> = <S2> = 2 eta n,
+        Var(S1 - S2) = 2 + 4 eta n + 4 eta^2 r^2 (n^2 + I),
+        Cov(S1, S2) = eta^2 (n^2 s^2 + (|u0 v0|^2 + |mu|^2)/2 - r^2 I),
+
+    the 2 being the 1/4 excess variance of the Wigner |alpha|^2 - 1/2
+    estimator in each of a cluster's 8 splitter inputs.  Var(S1 - S2) is
+    formed directly, not as Var S1 + Var S2 - 2 Cov, so no large sums
+    cancel.  The bin jitter also makes each cluster's mean a shared random
+    variable of both detectors; its variance adds to Cov(S1, S2) and
+    cancels in the difference.  The eta^2 of Cov cancels in g2, which is
+    formed without it.
     """
-    k = lattice.n_freq_bins
-    dw = lattice.bin_width
     x_gl, w_gl = _gl_rule(_QUAD_PER_BIN)
-    # nodes within each bin, weights normalized to a probability density
-    centers = (np.arange(k) + 0.5) * dw
-    omega = centers[:, None] + 0.5 * dw * x_gl[None, :]  # (k, q)
-    weights = np.broadcast_to(0.5 * w_gl[None, :], omega.shape)  # sums to 1 per bin
+    weights = 0.5 * w_gl  # a probability density over each bin's nodes
+    omega = ((np.arange(lattice.n_freq_bins) + 0.5)[:, None] + 0.5 * x_gl) * lattice.bin_width
 
     x = _half_angle(omega, crystal)
     u0, v0 = _bogoliubov(float(gain_at(0.0, pump)), x)
     vt = _v_abs(float(gain_at(tau, pump)), x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(v0 > 0, np.minimum(vt / np.where(v0 > 0, v0, 1.0), 1.0), 1.0)
-    # the -Omega pair (uc, vc) and a thermal top-up tc give <a1- a2+> = v0 Re(u0^2)/u0*
-    # and occupations v0^2: the interference term carries Re(u0^2) cos(2 Omega tau)
-    mu_c = v0 * (u0.real**2 - u0.imag**2) / np.conj(u0)
-    abs_mu = np.abs(mu_c)
-    vc = np.sqrt(abs_mu)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        uc = np.where(abs_mu > 0, mu_c / np.where(abs_mu > 0, vc, 1.0), 0.0)
-    tc = np.sqrt(np.maximum(2.0 * v0 * v0 + 1.0 - 2.0 * abs_mu, 0.0))
+        r2 = np.fmin(vt / v0, 1.0) ** 2  # 1 where v0 = 0
+    n = v0 * v0
+    re_u2 = u0.real**2 - u0.imag**2
+    pairs = 0.5 * n * ((1.0 + n) + re_u2 * (re_u2 / (1.0 + n)))  # (|u0 v0|^2 + |mu|^2)/2
+    interference = n * re_u2 * np.cos(2.0 * omega * tau)
     eta = det.eta
-    phase = np.exp(1j * omega * tau)
-    s = np.sqrt(1.0 - r * r)
+    var_diff = 2.0 + 4.0 * eta * n + 4.0 * eta * eta * r2 * (n * n + interference)
+    cov = n * n * (1.0 - r2) + pairs - r2 * interference  # over eta^2
 
-    # the 8 splitter inputs as maps of the 10 cluster inputs (z1p, z2m, z1m,
-    # z2p, y1m, y2p, h+, h-, v+, v-), c_dir on them and c_con on their
-    # conjugates.  Rows: window w+, w- and complement c+, c- of the delayed
-    # twin modes a1+, a1- (w = r a + s h, c = r h - s a, with the delay
-    # phase on a), then their splitter partners a2+, a2-, v+, v-.
-    coeff = np.zeros((2, 8, 10) + omega.shape, dtype=complex)
-    c_dir, c_con = coeff
-    for row, weight in ((0, r * phase), (2, -s * phase)):  # from a1+ = u0 z1p + v0 z2m*
-        c_dir[row, 0], c_con[row, 1] = u0 * weight, v0 * weight
-    for row, weight in ((1, r * np.conj(phase)), (3, -s * np.conj(phase))):  # from a1-
-        c_dir[row, 2], c_con[row, 3], c_dir[row, 4] = uc * weight, vc * weight, tc * weight
-    c_dir[0, 6], c_dir[1, 7], c_dir[2, 6], c_dir[3, 7] = s, s, r, r
-    c_dir[4, 3], c_con[4, 2], c_dir[4, 5] = uc, vc, tc  # a2+
-    c_dir[5, 1], c_con[5, 0] = u0, v0  # a2-
-    c_dir[6, 8] = c_dir[7, 9] = 1.0  # v+, v-
-
-    # one 50:50 step: detector 1 sees (x + y)/sqrt(2) and detector 2
-    # (y - x)/sqrt(2) for each delayed-side input x and its partner y
-    x, y = coeff[:, :4], coeff[:, 4:]
-    x[...], y[...] = x + y, y - x
-    coeff *= 1.0 / math.sqrt(2.0)
-
-    # input second moments: <zeta zeta+> = I/2, <zeta zeta^T> couples each
-    # input to its own conjugate slot with weight 1/2
-    a_mat = 0.5 * eta * (
-        np.einsum("ik...,jk...->ij...", c_dir, np.conj(c_dir))
-        + np.einsum("ik...,jk...->ij...", c_con, np.conj(c_con))
-    )
-    b_mat = 0.5 * eta * (
-        np.einsum("ik...,jk...->ij...", c_dir, c_con)
-        + np.einsum("ik...,jk...->ij...", c_con, c_dir)
-    )
-    a_mat[range(8), range(8)] += 0.5 * (1.0 - eta)  # loss vacuum half-quantum
-
-    m_sp = det.m_modes
-    occ = np.real(a_mat[range(8), range(8)]) - 0.5  # eta * photons per mode
-    mu1 = occ[:4].sum(axis=0)  # per-cluster detector-1 mean, (k, q)
-    mu2 = occ[4:].sum(axis=0)
-    mean_s1 = m_sp * float(np.sum(weights * mu1))
-    mean_s2 = m_sp * float(np.sum(weights * mu2))
-
-    pair_cov = np.abs(a_mat) ** 2 + np.abs(b_mat) ** 2
-    var_s1 = m_sp * float(np.sum(weights * pair_cov[:4, :4].sum(axis=(0, 1))))
-    var_s2 = m_sp * float(np.sum(weights * pair_cov[4:, 4:].sum(axis=(0, 1))))
-    cov_12 = m_sp * float(np.sum(weights * pair_cov[:4, 4:].sum(axis=(0, 1))))
-
-    # common-mode variance of the per-cluster conditional means under the
-    # bin jitter (per bin: E[mu^2] - E[mu]^2), shared by both detectors
-    # because mu1 == mu2 pointwise by symmetry
-    e1 = np.sum(weights * mu1, axis=1)
-    vj = m_sp * float(np.sum(np.sum(weights * mu1 * mu1, axis=1) - e1 * e1))
-    var_s1 += vj
-    var_s2 += vj
-    cov_12 += vj
-
-    var_diff = var_s1 + var_s2 - 2.0 * cov_12 + 2.0 * det.noise_var
-    nrf = var_diff / (mean_s1 + mean_s2)
-    g2 = 1.0 + cov_12 / (mean_s1 * mean_s2)
-    return mean_s1, nrf, g2
+    photons = 2.0 * n  # per detector and cluster, over eta
+    bin_mean = photons @ weights
+    jitter = (photons - bin_mean[:, None]) ** 2 @ weights
+    m = det.m_modes
+    mean = m * float(np.sum(bin_mean))  # over eta
+    nrf = (m * float(np.sum(var_diff @ weights)) + 2.0 * det.noise_var) / (2.0 * eta * mean)
+    g2 = 1.0 + m * float(np.sum(cov @ weights + jitter)) / (mean * mean)
+    return eta * mean, nrf, g2
 
 
 def wigner_cell_occupancy(

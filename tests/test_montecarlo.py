@@ -1,10 +1,14 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macrohom.errors import NumericalError, ValidationError
-from macrohom.gain import _bogoliubov, _half_angle, _v_abs
+from macrohom.gain import _bogoliubov, _half_angle, _v_abs, gain_at
 from macrohom.montecarlo import (
     _QUAD_PER_BIN,
     LatticeSpec,
@@ -15,7 +19,7 @@ from macrohom.montecarlo import (
     simulate_ensemble,
     wigner_cell_occupancy,
 )
-from macrohom.params import CrystalParams, DetectionModel, PumpParams
+from macrohom.params import CrystalParams, DetectionModel, PumpParams, _gl_rule
 from macrohom.trace import default_grid, detected_trace, nrf_trace
 
 PUMP = PumpParams()
@@ -237,6 +241,100 @@ class TestTwinFactors:
         assert naive_negative > 0
 
 
+def linear_map_moments(crystal, pump, det, lattice, tau, real=np.float64):
+    """(mean_s1, nrf, g2) as expected_stats computed them before its
+    closed form: a dense complex map of each cluster's 10 inputs onto the
+    8 splitter inputs at every node, Gram products for the second moments
+    and Var(S1 - S2) as var_s1 + var_s2 - 2 cov_12.  ``real`` sets the
+    working precision; u0, v0 and r are computed in float64 either way."""
+    cplx = np.result_type(real, 1j)
+    k = lattice.n_freq_bins
+    dw = lattice.bin_width
+    x_gl, w_gl = _gl_rule(_QUAD_PER_BIN)
+    # nodes within each bin, weights normalized to a probability density
+    centers = (np.arange(k) + 0.5) * dw
+    omega = centers[:, None] + 0.5 * dw * x_gl[None, :]  # (k, q)
+    weights = np.broadcast_to(0.5 * w_gl[None, :], omega.shape).astype(real)  # sums to 1 per bin
+
+    x = _half_angle(omega, crystal)
+    u0, v0 = _bogoliubov(float(gain_at(0.0, pump)), x)
+    vt = _v_abs(float(gain_at(tau, pump)), x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(v0 > 0, np.minimum(vt / np.where(v0 > 0, v0, 1.0), 1.0), 1.0)
+    u0, v0, r, omega = u0.astype(cplx), v0.astype(real), r.astype(real), omega.astype(real)
+    # the -Omega pair (uc, vc) and a thermal top-up tc give <a1- a2+> = v0 Re(u0^2)/u0*
+    # and occupations v0^2: the interference term carries Re(u0^2) cos(2 Omega tau)
+    mu_c = v0 * (u0.real**2 - u0.imag**2) / np.conj(u0)
+    abs_mu = np.abs(mu_c)
+    vc = np.sqrt(abs_mu)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uc = np.where(abs_mu > 0, mu_c / np.where(abs_mu > 0, vc, 1.0), 0.0)
+    tc = np.sqrt(np.maximum(2.0 * v0 * v0 + 1.0 - 2.0 * abs_mu, 0.0))
+    eta = real(det.eta)
+    phase = np.exp(1j * omega * real(tau))
+    s = np.sqrt(1.0 - r * r)
+
+    # the 8 splitter inputs as maps of the 10 cluster inputs (z1p, z2m, z1m,
+    # z2p, y1m, y2p, h+, h-, v+, v-), c_dir on them and c_con on their
+    # conjugates.  Rows: window w+, w- and complement c+, c- of the delayed
+    # twin modes a1+, a1- (w = r a + s h, c = r h - s a, with the delay
+    # phase on a), then their splitter partners a2+, a2-, v+, v-.
+    coeff = np.zeros((2, 8, 10) + omega.shape, dtype=cplx)
+    c_dir, c_con = coeff
+    for row, weight in ((0, r * phase), (2, -s * phase)):  # from a1+ = u0 z1p + v0 z2m*
+        c_dir[row, 0], c_con[row, 1] = u0 * weight, v0 * weight
+    for row, weight in ((1, r * np.conj(phase)), (3, -s * np.conj(phase))):  # from a1-
+        c_dir[row, 2], c_con[row, 3], c_dir[row, 4] = uc * weight, vc * weight, tc * weight
+    c_dir[0, 6], c_dir[1, 7], c_dir[2, 6], c_dir[3, 7] = s, s, r, r
+    c_dir[4, 3], c_con[4, 2], c_dir[4, 5] = uc, vc, tc  # a2+
+    c_dir[5, 1], c_con[5, 0] = u0, v0  # a2-
+    c_dir[6, 8] = c_dir[7, 9] = 1.0  # v+, v-
+
+    # one 50:50 step: detector 1 sees (x + y)/sqrt(2) and detector 2
+    # (y - x)/sqrt(2) for each delayed-side input x and its partner y
+    x, y = coeff[:, :4], coeff[:, 4:]
+    x[...], y[...] = x + y, y - x
+    coeff *= 1.0 / np.sqrt(real(2.0))
+
+    # input second moments: <zeta zeta+> = I/2, <zeta zeta^T> couples each
+    # input to its own conjugate slot with weight 1/2
+    a_mat = 0.5 * eta * (
+        np.einsum("ik...,jk...->ij...", c_dir, np.conj(c_dir))
+        + np.einsum("ik...,jk...->ij...", c_con, np.conj(c_con))
+    )
+    b_mat = 0.5 * eta * (
+        np.einsum("ik...,jk...->ij...", c_dir, c_con)
+        + np.einsum("ik...,jk...->ij...", c_con, c_dir)
+    )
+    a_mat[range(8), range(8)] += 0.5 * (1.0 - eta)  # loss vacuum half-quantum
+
+    m_sp = det.m_modes
+    occ = np.real(a_mat[range(8), range(8)]) - 0.5  # eta * photons per mode
+    mu1 = occ[:4].sum(axis=0)  # per-cluster detector-1 mean, (k, q)
+    mu2 = occ[4:].sum(axis=0)
+    mean_s1 = m_sp * np.sum(weights * mu1)
+    mean_s2 = m_sp * np.sum(weights * mu2)
+
+    pair_cov = np.abs(a_mat) ** 2 + np.abs(b_mat) ** 2
+    var_s1 = m_sp * np.sum(weights * pair_cov[:4, :4].sum(axis=(0, 1)))
+    var_s2 = m_sp * np.sum(weights * pair_cov[4:, 4:].sum(axis=(0, 1)))
+    cov_12 = m_sp * np.sum(weights * pair_cov[:4, 4:].sum(axis=(0, 1)))
+
+    # common-mode variance of the per-cluster conditional means under the
+    # bin jitter (per bin: E[mu^2] - E[mu]^2), shared by both detectors
+    # because mu1 == mu2 pointwise by symmetry
+    e1 = np.sum(weights * mu1, axis=1)
+    vj = m_sp * np.sum(np.sum(weights * mu1 * mu1, axis=1) - e1 * e1)
+    var_s1 += vj
+    var_s2 += vj
+    cov_12 += vj
+
+    var_diff = var_s1 + var_s2 - 2.0 * cov_12 + 2.0 * det.noise_var
+    nrf = var_diff / (mean_s1 + mean_s2)
+    g2 = 1.0 + cov_12 / (mean_s1 * mean_s2)
+    return mean_s1, nrf, g2
+
+
 class TestExpectedStats:
     # recorded (mean_s1, nrf, g2) of the exact moments, so the oracle
     # cannot drift along with the sampler it checks
@@ -265,6 +363,65 @@ class TestExpectedStats:
         expected = 2.0 * eta * det.m_modes * np.sum(0.5 * w_gl * v0 * v0)
         mean_s1, _, _ = expected_stats(crystal, PUMP, det, lattice, tau)
         assert mean_s1 == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("tau", sorted(PINNED))
+    def test_nrf_matches_extended_precision_reference(self, crystal, lattice, tau):
+        # at 45 ps the float64 linear map's nrf is 6.5e-13 off, from its
+        # near-cancelling var_s1 + var_s2 - 2 cov_12
+        _, nrf, _ = expected_stats(crystal, PUMP, small_det(), lattice, tau)
+        _, want, _ = linear_map_moments(crystal, PUMP, small_det(), lattice, tau, np.longdouble)
+        assert abs(float(nrf / want - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("gain", [0.2, 1.0, 7.5, 12.0])
+    @pytest.mark.parametrize("bins", [1, 16, 48])
+    def test_matches_linear_map_reference(self, crystal, gain, bins):
+        # in extended precision: in float64 the linear map's mean loses
+        # 1.8e-11 at gain 0.2, where it subtracts the half-quantum from
+        # occupations near 1/2.  Its nrf in extended precision is still up to
+        # 4e-10 off at gain 12 (in float64 7.5e-7): about 2000 times less
+        # for 2048 times the precision, so the error is the map's cancellation.
+        # Noise adds 2 noise_var to the map's var_diff, so nrf_0 + noise_var
+        # / mean_s1 is its nrf at noise_var
+        pump = PumpParams(g_peak=gain)
+        lattice = LatticeSpec.default(crystal, pump, n_freq_bins=bins)
+        for eta in (0.03, 0.4, 1.0):
+            for tau in (0.0, 0.5, 2.5, 10.0, 45.0):
+                det = small_det(eta=eta)
+                mean, nrf_0, g2 = linear_map_moments(
+                    crystal, pump, det, lattice, tau, np.longdouble
+                )
+                for noise_var in (0.0, 1e4):
+                    got = expected_stats(
+                        crystal, pump, dataclasses.replace(det, noise_var=noise_var), lattice, tau
+                    )
+                    want = (mean, nrf_0 + noise_var / mean, g2)
+                    rel = [abs(float(g / w - 1.0)) for g, w in zip(got, want)]
+                    assert rel[0] <= 1e-12 and rel[2] <= 1e-12, (eta, tau, noise_var, rel)
+                    assert rel[1] <= 1e-9, (eta, tau, noise_var, rel)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    gain=st.floats(0.05, 50.0),
+    log_eta=st.floats(-300.0, 0.0),
+    bins=st.integers(1, 64),
+    noise_var=st.floats(0.0, 100.0),
+    delay=st.floats(-6.0, 6.0),
+)
+def test_expected_stats_bounds(crystal, gain, log_eta, bins, noise_var, delay):
+    # per node Var(S1 - S2) >= 2, since eta r^2 <= 1 and n^2 + I >= -n, and
+    # Cov(S1, S2) >= 0, since (|u0 v0|^2 + |mu|^2)/2 >= |I|: g2 >= 1 at any
+    # eta.  At eta = 1e-300 and gain 0.05 a detector sees about 1e-305
+    # photons and nrf reaches 1e305 (1 + noise_var); noise_var <= 100 keeps
+    # it in float64's range
+    pump = PumpParams(g_peak=gain)
+    lattice = LatticeSpec.default(crystal, pump, n_freq_bins=bins)
+    det = DetectionModel(eta=10.0**log_eta, m_modes=4, noise_var=noise_var)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, nrf, g2 = expected_stats(crystal, pump, det, lattice, delay * pump.sigma_a)
+    assert all(map(math.isfinite, (mean, nrf, g2)))
+    assert mean > 0 and nrf > 0 and g2 >= 1.0
 
 
 class TestDipScan:
