@@ -275,6 +275,9 @@ def main(argv=None) -> int:
     try:
         config = RunConfig.load(args.config)
         name, header, rows, resolved, summary, line = _COMMANDS[args.command](config, args)
+        for key, value in summary.items():  # strict JSON has no Infinity or NaN
+            if not math.isfinite(value):
+                raise NumericalError(f"non-finite {key} = {value}")
         os.makedirs(args.out, exist_ok=True)
         digest = _write_csv(os.path.join(args.out, name), header, rows)
         _write_manifest(args.out, args.command, config, resolved, summary, name, digest)

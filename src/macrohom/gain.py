@@ -147,6 +147,25 @@ def omega_max_for(crystal: CrystalParams, pump: PumpParams) -> float:
     return omega_max
 
 
+def _bisect(f, lo: float, hi: float, failure: str) -> float:
+    """Root of ``f`` on [lo, hi] to adjacent floats, which needs no iteration
+    cap; NumericalError(failure) unless f(lo) > 0 > f(hi)."""
+    f_lo, f_hi = f(lo), f(hi)
+    if not (f_lo > 0.0 > f_hi):
+        raise NumericalError(failure)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo if abs(f_lo) <= abs(f_hi) else hi
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if f_mid > 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+
+
 def _half_max_angle(g: float) -> float:
     """Half-angle x_half = d L omega_half / 2 at which |v|^2 = sinh^2(G) / 2.
 
@@ -163,23 +182,8 @@ def _half_max_angle(g: float) -> float:
         v = _v_abs_scalar(g, x)
         return v * v - half
 
-    lo, hi = 0.0, math.sqrt(g * g + math.pi ** 2)
-    f_lo, f_hi = excess(lo), excess(hi)
-    if not (f_lo > 0.0 > f_hi):
-        raise NumericalError("half-maximum crossing not bracketed: degenerate input")
-    # bisect until lo and hi are adjacent floats: the interval shrinks
-    # strictly at every step, so the loop ends without an iteration cap
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return lo if abs(f_lo) <= abs(f_hi) else hi
-        f_mid = excess(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_mid > 0.0:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
+    x_zero = math.sqrt(g * g + math.pi ** 2)
+    return _bisect(excess, 0.0, x_zero, "half-maximum crossing not bracketed: degenerate input")
 
 
 def _fwhm_scale(pump: PumpParams) -> float:
@@ -229,14 +233,8 @@ def calibrate_walkoff(
     crystal = CrystalParams(length_mm, _fwhm_scale(pump) / length_mm / target_fwhm_nm)
     achieved = spectral_fwhm_nm(crystal, pump)
     if abs(achieved - target_fwhm_nm) > 1e-3:
-        raise NumericalError(
-            f"calibration missed the target: achieved {achieved} nm"
-        )
+        raise NumericalError(f"calibration missed the target: achieved {achieved} nm")
     return crystal
-
-
-def _sinh2_model(p, c, scale):
-    return scale * np.sinh(c * np.sqrt(p)) ** 2
 
 
 def fit_gain_curve(powers, intensities):
@@ -245,9 +243,14 @@ def fit_gain_curve(powers, intensities):
     The gain is proportional to the pump field amplitude, hence to the
     square root of pump power.  Returns (c, scale).
 
-    Initialization is deterministic: seed scale0 = 1, read c0 off the
-    largest-power point via asinh, re-estimate scale0 from the
-    smallest-power point, and refresh c0 once.
+    Variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
+    1973): scale = (y.s)/(s.s) at each c, s = sinh^2(c sqrt(P)), and c
+    maximises (y.s)^2/(s.s), whose c-derivative has the sign of the
+    zero-diagonal sum_ij y_i s_i s_j^2 (q_i - q_j), q = x coth(x), x = c sqrt(P).
+    Bracket: from x = 1 at the largest power, c halves while that sign is
+    not +, down to x = 1e-3 (sinh^2 is then quadratic to 3.3e-7 and fixes
+    no c), and doubles while it is not -, until sinh overflows to nan.
+    Bisection to adjacent floats finds the root; no bracket: NumericalError.
     """
     p = np.asarray(powers, dtype=float)
     y = np.asarray(intensities, dtype=float)
@@ -264,28 +267,25 @@ def fit_gain_curve(powers, intensities):
     if np.any(y < 0):
         raise ValidationError("intensities must be >= 0")
 
-    i_max = int(np.argmax(p))
-    i_min = int(np.argmin(p))
-    scale0 = 1.0
-    c0 = math.asinh(math.sqrt(max(y[i_max], 1e-300) / scale0)) / math.sqrt(p[i_max])
-    denom = math.sinh(c0 * math.sqrt(p[i_min])) ** 2
-    if y[i_min] > 0 and denom > 0:
-        scale0 = y[i_min] / denom
-        c0 = math.asinh(math.sqrt(y[i_max] / scale0)) / math.sqrt(p[i_max])
+    root = np.sqrt(p)
+    y_max = float(y.max())
+    y = y / y_max  # c does not depend on the intensity scale
 
-    # imported here, so that only this fit pays for loading scipy.optimize
-    from scipy.optimize import curve_fit
+    def slope(c):
+        x = c * root
+        s = (np.sinh(x) / np.sinh(x.max())) ** 2
+        q = x / np.tanh(x)
+        return float((y * s) @ np.subtract.outer(q, q) @ (s * s))
 
-    try:
-        popt, _ = curve_fit(
-            _sinh2_model,
-            p,
-            y,
-            p0=(c0, scale0),
-            bounds=((0.0, 0.0), (np.inf, np.inf)),
-            maxfev=20_000,
-        )
-    except (RuntimeError, ValueError) as exc:  # ValueError: the model overflows at the start
-        raise NumericalError(f"gain-curve fit failed: {exc}")
-    c, scale = float(popt[0]), float(popt[1])
+    with np.errstate(all="ignore"):
+        lo = hi = x_unit = 1.0 / float(root.max())
+        while slope(lo) <= 0.0 and lo > 1e-3 * x_unit:
+            lo *= 0.5
+        while slope(hi) >= 0.0:
+            hi *= 2.0
+        c = _bisect(slope, lo, hi, f"gain-curve fit failed: no least-squares c in [{lo!r}, {hi!r}]")
+        s = np.sinh(c * root) ** 2  # s.s overflows, and scale is 0, past x = 178
+        scale = float(y_max * ((y @ s) / (s @ s)))
+    if not (0.0 < scale < math.inf):
+        raise NumericalError(f"gain-curve fit failed: scale {scale} at c = {c!r} leaves float64")
     return c, scale

@@ -383,6 +383,7 @@ def dip_scan(
         return list(pool.map(point, range(len(taus))))
 
 
+@np.errstate(all="ignore")  # n^2 and Re(u0^2)^2 leave float64 above a gain of about 178
 def expected_stats(
     crystal: CrystalParams,
     pump: PumpParams,
@@ -421,8 +422,7 @@ def expected_stats(
     x = _half_angle(omega, crystal)
     u0, v0 = _bogoliubov(float(gain_at(0.0, pump)), x)
     vt = _v_abs(float(gain_at(tau, pump)), x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.fmin(vt / v0, 1.0) ** 2  # 1 where v0 = 0
+    r2 = np.fmin(vt / v0, 1.0) ** 2  # 1 where v0 = 0
     n = v0 * v0
     re_u2 = u0.real**2 - u0.imag**2
     pairs = 0.5 * n * ((1.0 + n) + re_u2 * (re_u2 / (1.0 + n)))  # (|u0 v0|^2 + |mu|^2)/2
@@ -438,9 +438,12 @@ def expected_stats(
     mean = m * float(np.sum(bin_mean))  # over eta
     nrf = (m * float(np.sum(var_diff @ weights)) + 2.0 * det.noise_var) / (2.0 * eta * mean)
     g2 = 1.0 + m * float(np.sum(cov @ weights + jitter)) / (mean * mean)
+    if not (math.isfinite(mean) and math.isfinite(nrf) and math.isfinite(g2)):
+        raise NumericalError(f"Wick moments leave float64: mean {mean}, nrf {nrf}, g2 {g2}")
     return eta * mean, nrf, g2
 
 
+@np.errstate(over="ignore", invalid="ignore")  # n * n is inf above a gain of about 178
 def wigner_cell_occupancy(
     crystal: CrystalParams, pump: PumpParams, lattice: LatticeSpec
 ) -> float:

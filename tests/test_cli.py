@@ -213,7 +213,7 @@ class TestFitGainCommand:
             ("1,2\ninf,3\n3,5\n", 2, "must be finite"),
             ("5,1e308\n20,1e308\n55,1e308\n", 3, "gain-curve fit failed"),
             ("5,1\n20,300\n1e300,1e6\n", 3, "gain-curve fit failed"),
-            ("1e-300,1\n20,300\n55,1e6\n", 3, "gain-curve fit failed"),
+            ("1e-300,1\n20,300\n55,1e6\n", 0, ""),  # a finite minimum: see test_gain
             ("1,2,3\n2,3\n3,5\n", 2, "expected 2 columns"),
             ("1,abc\n2,3\n3,5\n", 2, "non-numeric value"),
             ("0,1\n20,300\n55,1e6\n", 2, "powers must be > 0"),
@@ -559,6 +559,36 @@ class TestExitCodes:
             assert run(tmp_path, "mc", cfg) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "overflow" in err[0]
+
+    @pytest.mark.parametrize("gain, code", [("175", 0), ("180", 3)])
+    def test_wigner_occupancy_overflow_fails_without_warnings(self, tmp_path, capsys, gain, code):
+        # the ensemble still resolves at gain 180, but n * n of the
+        # occupancy overflows: the run ends on that one message, not on an
+        # Infinity in the manifest
+        cfg = f"[pump]\ngain = {gain}\n[detection]\npulses = 3\nmodes = 1\n"
+        cfg += "[mc]\nn_freq_bins = 2\ntau_points = 0.0\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(tmp_path, "mc", cfg) == code
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            assert err == ["numerical failure: non-finite wigner_cell_occupancy = inf"]
+            assert os.listdir(tmp_path) == ["run.ini"]
+        else:
+            assert err == []
+            assert math.isfinite(read_manifest(tmp_path)["summary"]["wigner_cell_occupancy"])
+
+    @pytest.mark.parametrize("command", ["trace", "g2", "sweep-gain", "fit-gain", "calibrate", "mc"])
+    def test_non_finite_summary_maps_to_3(self, tmp_path, capsys, monkeypatch, command):
+        import macrohom.cli as cli
+
+        def nan_summary(config, args):
+            return "out.csv", ["x"], [(1.0,)], {}, {"ok": 1.0, "bad": math.nan}, "line"
+
+        monkeypatch.setitem(cli._COMMANDS, command, nan_summary)
+        assert main([command, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "numerical failure: non-finite bad = nan\n"
+        assert os.listdir(tmp_path) == []
 
     def test_bad_last_delay_fails_before_any_ensemble(self, tmp_path, capsys, monkeypatch):
         calls = []

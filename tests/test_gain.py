@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from macrohom.gain import (
 from macrohom.params import C_NM_PER_PS, CrystalParams, PumpParams, SpectralGrid
 
 REF_PUMP = PumpParams(g_peak=7.5, t_p=18.0)
+GAIN_CURVE_CSV = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "gain_curve.csv")
 
 
 def crystal_with(d):
@@ -378,23 +380,38 @@ def test_gauss_legendre_rule_built_once_gives_the_same_grids():
         np.testing.assert_array_equal(grid.weights, half * w)
 
 
-def test_import_boundary_leaves_scipy_to_the_fit():
-    # only fit-gain (curve_fit) needs scipy; every other command would pay
-    # about 0.5 s of start-up for importing it
+def test_import_boundary_loads_no_scipy():
+    # the package needs numpy only: no command, the gain fit included,
+    # pays about 0.5 s and 40 MB for importing scipy
     src = os.path.dirname(os.path.dirname(gain.__file__))
-    code = (
-        "import sys\n"
-        "import macrohom.cli, macrohom.montecarlo, macrohom.trace, macrohom.config\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-        "from macrohom.gain import fit_gain_curve\n"
-        "fit_gain_curve([5.0, 20.0, 55.0], [22.5, 2119.0, 817254.0])\n"
-        "print('scipy.optimize' in sys.modules)\n"
+    code = textwrap.dedent(
+        """
+        import os, sys, tempfile
+        from macrohom.cli import main
+        from macrohom.gain import fit_gain_curve
+
+        fit_gain_curve([5.0, 20.0, 55.0], [22.5, 2119.0, 817254.0])
+        configs = {
+            "trace": "", "g2": "", "calibrate": "",
+            "sweep-gain": "[sweep]\\ng_values = 7.5\\n",
+            "fit-gain": f"[fit]\\ndata = {sys.argv[1]}\\n",
+            "mc": "[detection]\\npulses = 8\\n[mc]\\ntau_points = 0.0\\n",
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            for command, text in configs.items():
+                cfg = os.path.join(tmp, "run.ini")
+                with open(cfg, "w") as fh:
+                    fh.write(text)
+                assert main([command, "--config", cfg, "--out", tmp]) == 0, command
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        """
     )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, GAIN_CURVE_CSV],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.split("\n")[:2] == ["[]", "True"]
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def test_import_boundary_leaves_numpy_polynomial_to_the_kernels():
@@ -467,9 +484,81 @@ class TestFitGainCurve:
         [
             ([5.0, 20.0, 55.0], [1e308, 1e308, 1e308]),
             ([5.0, 20.0, 1e300], [1.0, 300.0, 1e6]),
-            ([1e-300, 20.0, 55.0], [1.0, 300.0, 1e6]),
+            # exact data with sinh argument 179 at 55 mW, where s.s overflows
+            (
+                [5.0, 20.0, 55.0],
+                np.sinh(179.0 / math.sqrt(55.0) * np.sqrt([5.0, 20.0, 55.0])) ** 2,
+            ),
         ],
     )
     def test_overflowing_model_is_fit_error(self, powers, intens):
         with pytest.raises(NumericalError, match="gain-curve fit failed"):
             fit_gain_curve(powers, intens)
+
+    def test_point_at_vanishing_power_matches_brute_force_scan(self):
+        # the model is 0 at 1e-300 mW and fits the other two points
+        # exactly: a finite minimum at residual 1
+        powers = np.array([1e-300, 20.0, 55.0])
+        intens = np.array([1.0, 300.0, 1e6])
+        c, scale = fit_gain_curve(powers, intens)
+        grid = np.linspace(0.01, 30.0, 300_001)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.sinh(np.outer(grid, np.sqrt(powers))) ** 2
+            scales = (s @ intens) / np.einsum("ij,ij->i", s, s)
+            scanned = np.sum((intens - scales[:, None] * s) ** 2, axis=1)
+        best = int(np.nanargmin(scanned))
+        assert abs(c - grid[best]) <= grid[1] - grid[0]
+        assert profiled_residual(powers, intens, c) <= scanned[best] * (1.0 + 1e-12)
+        assert (c, scale) == pytest.approx((1.37764, 5.343e-3), rel=1e-4)
+        assert profiled_residual(powers, intens, c) == pytest.approx(1.0, rel=1e-9)
+
+    def test_flat_profile_is_fit_error(self):
+        # with the largest power 10^e mW, the profiled residual falls
+        # towards c = 0 by less than 1e-(e - 6) relative: there is no finite
+        # minimum, and no root of the rounding noise may be returned
+        for exponent in range(8, 301, 4):
+            with pytest.raises(NumericalError, match="gain-curve fit failed"):
+                fit_gain_curve([5.0, 20.0, 10.0**exponent], [1.0, 300.0, 1e6])
+
+    @pytest.mark.parametrize(
+        "powers, intens",
+        [([5.0, 5.0, 5.0], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [1.0, 2.0, 0.0])],
+    )
+    def test_no_finite_minimum_is_fit_error(self, powers, intens):
+        # equal powers leave c undetermined; intensities that fall at the
+        # largest power fit best as c -> 0
+        with pytest.raises(NumericalError, match="gain-curve fit failed"):
+            fit_gain_curve(powers, intens)
+
+    def test_matches_curve_fit(self):
+        # scipy's Levenberg-Marquardt least squares as an independent
+        # reference, started at the true parameters of 200 noisy 11-point
+        # scans
+        from scipy.optimize import curve_fit
+
+        rng = np.random.default_rng(2101)
+        powers = np.linspace(5.0, 55.0, 11)
+        for _ in range(200):
+            c_true = 7.5 / math.sqrt(55.0) * rng.uniform(0.5, 1.5)
+            scale_true = 10.0 ** rng.uniform(-2.0, 2.0)
+            intens = scale_true * np.sinh(c_true * np.sqrt(powers)) ** 2
+            intens *= 1.0 + 0.01 * rng.standard_normal(powers.size)
+            c, scale = fit_gain_curve(powers, intens)
+            (c_ref, scale_ref), _ = curve_fit(
+                lambda p, c, a: a * np.sinh(c * np.sqrt(p)) ** 2,
+                powers,
+                intens,
+                p0=(c_true, scale_true),
+            )
+            assert c == pytest.approx(c_ref, rel=1e-6)
+            assert scale == pytest.approx(scale_ref, rel=1e-6)
+            ours = profiled_residual(powers, intens, c)
+            assert ours <= profiled_residual(powers, intens, c_ref) * (1.0 + 1e-9)
+
+
+def profiled_residual(powers, intens, c):
+    """Sum of squared residuals at ``c`` and its best scale, formed from the
+    residuals themselves: y.y - (y.s)^2/(s.s) cancels near a good fit."""
+    s = np.sinh(c * np.sqrt(powers)) ** 2
+    r = intens - (intens @ s) / (s @ s) * s
+    return float(r @ r)

@@ -349,6 +349,17 @@ class TestExpectedStats:
         got = expected_stats(crystal, PUMP, small_det(), lattice, tau)
         assert got == pytest.approx(self.PINNED[tau], rel=1e-12)
 
+    @pytest.mark.parametrize("gain", [180.0, 200.0])
+    def test_overflow_raises_without_warnings(self, crystal, gain):
+        # n^2 leaves float64 above a gain of about 178: inf and nan are
+        # named, not returned
+        pump = PumpParams(g_peak=gain)
+        lattice = LatticeSpec.default(crystal, pump, n_freq_bins=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="Wick moments leave float64"):
+                expected_stats(crystal, pump, small_det(), lattice, 0.0)
+
     @pytest.mark.parametrize("eta", [0.03, 0.4, 1.0])
     @pytest.mark.parametrize("tau", [0.0, 2.0, 45.0])
     def test_mean_conserves_photon_number(self, crystal, lattice, eta, tau):
