@@ -29,6 +29,14 @@ sum there would return only the truncation residue of the spectral tail
 cutoff.  At zero walk-off the integrand is constant in w, not
 integrable, and the theorem says nothing: the sum runs at every delay.
 
+Where the distinct |tau| inside d L are the lattice i D that
+``delay_grid`` builds, as on every ``trace``, ``g2`` and ``sweep-gain``
+run, the cosines come from angle addition: with i = a B + b and
+B ~ sqrt(n), cos and sin are evaluated only at the anchors a B D and the
+offsets b D, and each row is cos_a cos_b - sin_a sin_b formed elementwise
+and summed pairwise.  Any other delay set takes one cosine matrix-vector
+product per chunk of delays.
+
 The pedestal integral depends on tau only through q = G(tau)^2:
 
     int dw v0^2 v_tau^2 = q F(q),    F(q) = int dw v0^2 S(q - x^2)^2,
@@ -77,6 +85,8 @@ TRACE_KINDS = ("nrf_ideal", "nrf_detected", "nrf_pedestal", "g2")
 _NRF_FLOOR = 1.0 - 1e-6
 
 _TAU_CHUNK = 256
+# most offset rows of the angle-addition sums on lattice delays
+_LATTICE_BLOCK = 64
 
 # pedestal interpolant in log F: starting degree, and the size of the
 # trailing Chebyshev coefficients, relative to the largest, that ends the
@@ -221,6 +231,49 @@ def _pedestal_sums(q, x2, coef):
     return q * _pedestal_factor(q, x2, coef)
 
 
+def _interference_sums(abs_tau, omega, coef):
+    """sum_w coef cos(2 w tau) at each tau of the sorted, distinct
+    ``abs_tau``: by angle addition where ``abs_tau`` is the lattice
+    i abs_tau[1], i = 0..n-1, exactly as ``delay_grid`` builds it (see
+    :func:`_lattice_sums`), otherwise one cosine matrix-vector product per
+    _TAU_CHUNK delays."""
+    n = abs_tau.size
+    if n >= 2 and np.array_equal(abs_tau, np.arange(n) * abs_tau[1]):
+        return _lattice_sums(abs_tau, omega, coef)
+    out = np.empty(n)
+    for lo in range(0, n, _TAU_CHUNK):
+        hi = min(lo + _TAU_CHUNK, n)
+        out[lo:hi] = np.cos(2.0 * np.outer(abs_tau[lo:hi], omega)) @ coef
+    return out
+
+
+def _lattice_sums(abs_tau, omega, coef):
+    """sum_w coef cos(2 w tau_i) on the delay lattice tau_i = i D by angle
+    addition.  With i = a B + b, B ~ sqrt(n) and B <= _LATTICE_BLOCK,
+
+        cos(2 w tau_i) = cos(2 w tau_aB) cos(2 w tau_b) - sin(2 w tau_aB) sin(2 w tau_b),
+
+    so cos and sin run only at the n/B anchors and the B offsets: about
+    4 sqrt(n) trig rows in place of n cosine rows, with no recurrence to
+    accumulate error.  Each anchor's B rows are formed elementwise and
+    summed pairwise, closer to exactly rounded sums than the direct
+    product, and four (B x node) arrays are the only large temporaries:
+    at most half of those of one _TAU_CHUNK-row chunk of the direct sum.
+    """
+    n = abs_tau.size
+    b = min(math.isqrt(n - 1) + 1, _LATTICE_BLOCK)
+    phase = np.multiply.outer(2.0 * abs_tau[:b], omega)
+    cos_b, sin_b = np.cos(phase), np.sin(phase, out=phase)
+    cos_prod, sin_prod = np.empty((2, b, omega.size))
+    out = np.empty((-(-n // b), b))
+    for row, tau_a in zip(out, abs_tau[::b]):
+        phase = 2.0 * tau_a * omega
+        np.multiply(cos_b, np.cos(phase) * coef, out=cos_prod)
+        np.multiply(sin_b, np.sin(phase) * coef, out=sin_prod)
+        np.add.reduce(np.subtract(cos_prod, sin_prod, out=cos_prod), axis=1, out=row)
+    return out.ravel()[:n]
+
+
 def nrf_and_pedestal(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: SpectralGrid):
     """The variance trace and its pedestal, (nrf, pedestal), sharing one
     pedestal sum per delay.  The integrand depends on tau only through
@@ -231,10 +284,12 @@ def nrf_and_pedestal(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: S
     The pedestal sum q F(q), q = G(tau)^2, comes from a Chebyshev
     interpolant of log F (see :func:`_pedestal_sums`), within about 3e-14
     relative of exactly rounded sums on the reference and sweep grids.
-    The interference sum is one cosine matrix-vector product per chunk of
-    the distinct |tau| <= d L, and exactly 0 beyond, where the integral
-    vanishes by the Paley-Wiener theorem (see the module docstring); at
-    d L = 0 it runs at every |tau|."""
+    The interference sum runs over the distinct |tau| <= d L, by angle
+    addition where they are a lattice i D and by a chunked cosine
+    matrix-vector product otherwise (see :func:`_interference_sums`), and
+    is exactly 0 beyond, where the integral vanishes by the Paley-Wiener
+    theorem (see the module docstring); at d L = 0 it runs at every
+    |tau|."""
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or tau.size == 0:
         raise ValidationError("tau grid must be a nonempty 1-d sequence")
@@ -264,9 +319,7 @@ def nrf_and_pedestal(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: S
             dl = crystal.walkoff_slope * crystal.length_mm
             n_in = int(np.searchsorted(abs_tau, dl, side="right")) if dl > 0 else abs_tau.size
             interf = np.zeros(abs_tau.size)
-            for lo in range(0, n_in, _TAU_CHUNK):
-                hi = min(lo + _TAU_CHUNK, n_in)
-                interf[lo:hi] = np.cos(2.0 * np.outer(abs_tau[lo:hi], omega)) @ interf_coef
+            interf[:n_in] = _interference_sums(abs_tau[:n_in], omega, interf_coef)
             pedestal = 1.0 + ped_sum / denom
             nrf = 1.0 + (ped_sum + interf) / denom
             pedestal, nrf = pedestal[back], nrf[back]
@@ -330,23 +383,32 @@ def visibility(trace: Trace) -> float:
     return (hi - lo) / (hi + lo)
 
 
-def _fwhm(tau, comp) -> float:
-    """FWHM of a peaked component by linear interpolation of the
-    half-maximum crossings around the global maximum."""
+def _fwhm(tau, comp, name) -> float:
+    """FWHM of the peaked ``name`` component by linear interpolation of
+    the half-maximum crossings around the global maximum.  A peak whose
+    neighbours on the grid both fall below half maximum is not resolved:
+    its crossings would only reflect the grid step."""
     i_max = int(np.argmax(comp))
     peak = comp[i_max]
+    grid = f"the delay grid |tau| <= {float(np.max(np.abs(tau))):g} ps"
     if not (peak > 0):
-        raise ValidationError("component has no positive maximum")
+        raise ValidationError(f"{name} component has no positive maximum on {grid}")
     half = 0.5 * peak
     # the nearest sample on each side of the peak that is not >= half (NaN
     # included) bounds the crossing interval [i, i + 1] on that side
     below = ~(comp >= half)
     left = np.flatnonzero(below[:i_max])
     right = np.flatnonzero(below[i_max:])
-    if left.size == 0:
-        raise NumericalError("left half-maximum crossing not inside the tau grid")
-    if right.size == 0:
-        raise NumericalError("right half-maximum crossing not inside the tau grid")
+    for side, crossings in (("left", left), ("right", right)):
+        if crossings.size == 0:
+            raise NumericalError(
+                f"{side} half-maximum crossing of the {name} component lies outside {grid}"
+            )
+    if left[-1] == i_max - 1 and right[0] == 1:
+        raise NumericalError(
+            f"{name} component peak is not resolved on {grid}: only its maximum sample "
+            "reaches half maximum"
+        )
 
     def cross(i):
         return tau[i] + (half - comp[i]) * (tau[i + 1] - tau[i]) / (comp[i + 1] - comp[i])
@@ -362,12 +424,12 @@ def _require_shared_grid(a: Trace, b: Trace):
 def fwhm_narrow(nrf: Trace, pedestal: Trace) -> float:
     """FWHM (ps) of the narrow quantum component nrf - pedestal."""
     _require_shared_grid(nrf, pedestal)
-    return _fwhm(nrf.tau, nrf.value - pedestal.value)
+    return _fwhm(nrf.tau, nrf.value - pedestal.value, "narrow")
 
 
 def fwhm_pedestal(pedestal: Trace) -> float:
     """FWHM (ps) of the pedestal elevation above the shot-noise baseline."""
-    return _fwhm(pedestal.tau, pedestal.value - 1.0)
+    return _fwhm(pedestal.tau, pedestal.value - 1.0, "pedestal")
 
 
 def mode_count_g2(g2_edge_measured: float, n_mode: float) -> float:

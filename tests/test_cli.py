@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import pkgutil
 import tempfile
 import warnings
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import macrohom
 from macrohom import montecarlo
 from macrohom.cli import main
 from macrohom.config import _DEFAULTS
@@ -454,7 +456,7 @@ SCAN_VALUES = ["nan", "inf", "-inf", "1e308", "1e300", "-1e300", "1e200", "1e-20
 SCAN_BASE = {
     "detection": {"pulses": "3", "modes": "1"},
     "mc": {"tau_points": "0.0", "n_freq_bins": "2"},
-    "trace": {"tau_max_ps": "10", "tau_step_ps": "0.5"},
+    "trace": {"tau_max_ps": "10", "tau_step_ps": "0.25"},
     "sweep": {"g_values": "7.5", "tau_max_ps": "3", "tau_step_ps": "0.05"},
 }
 
@@ -516,6 +518,36 @@ class TestExitCodes:
         cfg = "[trace]\ntau_max_ps = 0.5\ntau_step_ps = 0.05\n"
         assert run(tmp_path, "trace", cfg) == 3
         assert "half-maximum crossing" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.ini"]
+
+    @pytest.mark.parametrize(
+        "command, cfg, message",
+        [
+            # a 1 fs pulse: the pedestal is one sample wide on the 0.05 ps grid
+            (
+                "trace",
+                "[pump]\npulse_fwhm_ps = 1e-3\n",
+                "pedestal component peak is not resolved on the delay grid |tau| <= 80 ps",
+            ),
+            # the 0.88 ps narrow peak on a 1 ps grid
+            (
+                "sweep-gain",
+                "[sweep]\ng_values = 7.5\ntau_step_ps = 1.0\n",
+                "narrow component peak is not resolved on the delay grid |tau| <= 6 ps",
+            ),
+            # the pedestal reaches past the grid's edge
+            (
+                "trace",
+                "[trace]\ntau_max_ps = 2.0\n",
+                "left half-maximum crossing of the pedestal component lies outside "
+                "the delay grid |tau| <= 2 ps",
+            ),
+        ],
+    )
+    def test_width_the_grid_cannot_give_maps_to_3(self, tmp_path, capsys, command, cfg, message):
+        assert run(tmp_path, command, cfg) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
         assert os.listdir(tmp_path) == ["run.ini"]
 
     def test_undefined_ensemble_ratio_maps_to_3(self, tmp_path, capsys):
@@ -636,6 +668,23 @@ class TestManifestReplay:
         assert main([command, "--config", str(replay / "replayed.ini"), "--out", str(replay)]) == 0
         (name, digest), = manifest["outputs"].items()
         assert hashlib.sha256((replay / name).read_bytes()).hexdigest() == digest
+
+
+PACKAGE_MODULES = ["macrohom"] + [f"macrohom.{m.name}" for m in pkgutil.iter_modules(macrohom.__path__)]
+
+
+@pytest.mark.parametrize("module", PACKAGE_MODULES + ["numpy", "macrohomx"])
+def test_runtime_warnings_in_the_package_are_errors(module):
+    # pyproject.toml's filterwarnings turns a RuntimeWarning from any
+    # package module into an error, and leaves those from elsewhere alone
+    assert len(PACKAGE_MODULES) >= 9
+    with warnings.catch_warnings(record=True) as caught:
+        if module in PACKAGE_MODULES:
+            with pytest.raises(RuntimeWarning, match="deliberate"):
+                warnings.warn_explicit("deliberate", RuntimeWarning, "deliberate.py", 1, module=module)
+        else:
+            warnings.warn_explicit("deliberate", RuntimeWarning, "deliberate.py", 1, module=module)
+    assert len(caught) == (module not in PACKAGE_MODULES)
 
 
 # values that a combined key may take instead of an ordinary number

@@ -5,8 +5,8 @@ configuration, pinned in ``golden_outputs.json``.
 Sampled rows and manifest numbers are compared at rel 1e-10 everywhere,
 other manifest values exactly; path values such as ``fit.data`` are not
 recorded.  The sha256 of each CSV is compared only where the environment
-recorded with the file (numpy and its SIMD targets, scipy, the BLAS and
-its thread count) matches this one: another libm, BLAS or thread count
+recorded with the file (numpy and its SIMD targets, the BLAS and its
+thread count) matches this one: another libm, BLAS or thread count
 may move the last bits of a value without any change to the code.
 
 A change that alters an output on purpose regenerates the file with
@@ -47,7 +47,6 @@ RUNS = {
 def environment():
     """What the CSV bytes depend on besides the code."""
     import numpy
-    import scipy
 
     try:
         from numpy._core import _multiarray_umath as umath
@@ -60,7 +59,6 @@ def environment():
     return {
         "numpy": numpy.__version__,
         "simd": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)],
-        "scipy": scipy.__version__,
         "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
         "blas_threads": int(threads),
     }

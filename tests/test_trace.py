@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from macrohom.errors import NumericalError, ValidationError
 from macrohom.fock import hom_stats, tmsv
@@ -11,6 +14,8 @@ from macrohom.params import CrystalParams, DetectionModel, PumpParams, SpectralG
 from macrohom.trace import (
     Trace,
     _fwhm,
+    _interference_sums,
+    _TAU_CHUNK,
     default_grid,
     delay_grid,
     detected_trace,
@@ -445,7 +450,8 @@ class TestFwhmVsGain:
         tau = delay_grid(6.0, 0.02)
         grid = default_grid(crystal, pump, 6.0)
         nrf_direct, ped_direct = direct_values(tau, crystal, pump, grid)
-        assert _fwhm(tau, nrf_direct - ped_direct) == pytest.approx(width, rel=1e-9)
+        direct_width = _fwhm(tau, nrf_direct - ped_direct, "narrow")
+        assert direct_width == pytest.approx(width, rel=1e-9)
         fine = SpectralGrid.gauss_legendre(2.0 * grid.omega_max, 4 * len(grid))
         assert fwhm_narrow(*nrf_and_pedestal(tau, crystal, pump, fine)) == pytest.approx(width, rel=1e-9)
 
@@ -535,6 +541,72 @@ class TestInterferenceSupport:
         cut = interference_sum(g, crystal, om, n, tau)
         wide = interference_sum(g, crystal, 4.0 * om, 4 * n, tau)
         assert abs(cut) > 0.1 and cut == pytest.approx(wide, rel=1e-3)
+
+
+class TestLatticeSums:
+    """Delays i D, as delay_grid builds them, are summed by angle addition;
+    any other set of delays by the direct cosine product."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        g=st.floats(0.1, 50.0),
+        n=st.integers(2, 640),
+        span=st.floats(0.05, 3.0),
+        oversampling=st.floats(1.0, 4.0),
+    )
+    def test_within_eight_eps_of_exact_rows(self, crystal, g, n, span, oversampling):
+        # n delays spanning up to 3 d L, on a node grid that resolves them
+        # (the resolution rule of required_nodes) up to 4 times over
+        abs_tau = np.arange(n) * (span * crystal.walkoff_slope * crystal.length_mm / (n - 1))
+        pump = PumpParams(g_peak=g, t_p=18.0)
+        omega_max = omega_max_for(crystal, pump)
+        nodes = int(oversampling * 8.0 * omega_max * abs_tau[-1] / math.pi) + 16
+        grid = SpectralGrid.gauss_legendre(omega_max, nodes)
+        u0, v0 = uv_arrays(grid.omega, 0.0, crystal, pump)
+        coef = grid.weights * v0 * v0 * (u0.real**2 - u0.imag**2)
+        exact = [math.fsum(np.cos(2.0 * t * grid.omega) * coef) for t in abs_tau]
+        got = _interference_sums(abs_tau, grid.omega, coef)
+        assert np.max(np.abs(got - exact)) <= 8.0 * np.finfo(float).eps * math.fsum(np.abs(coef))
+
+    def test_nudged_delay_takes_the_direct_path(self, crystal, monkeypatch):
+        import macrohom.trace as trace_module
+
+        calls = []
+        lattice = trace_module._lattice_sums
+        monkeypatch.setattr(
+            trace_module, "_lattice_sums", lambda *args: calls.append(1) or lattice(*args)
+        )
+        tau = delay_grid(6.0, 0.02)
+        grid = default_grid(crystal, PUMP, 6.0)
+        nrf, ped = nrf_and_pedestal(tau, crystal, PUMP, grid)
+        assert calls == [1]
+        # one interior delay inside d L = 1.99 ps moved up by one ulp
+        i = int(np.searchsorted(tau, 1.0))
+        nudged = tau.copy()
+        nudged[i] = np.nextafter(tau[i], 2.0)
+        nrf_n, ped_n = nrf_and_pedestal(nudged, crystal, PUMP, grid)
+        assert calls == [1]
+        shared = np.arange(tau.size) != i
+        np.testing.assert_allclose(nrf_n.value[shared], nrf.value[shared], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(ped_n.value[shared], ped.value[shared], rtol=1e-13, atol=0)
+
+    def test_memory_at_the_node_cap(self):
+        # the direct product's peak is one _TAU_CHUNK-row chunk; 4000
+        # lattice delays take the largest offset block and must stay below it
+        nodes = 65536
+        omega = np.linspace(0.0, 45.0, nodes)
+        coef = np.random.default_rng(3).standard_normal(nodes)
+        peaks = []
+        for abs_tau in (np.arange(4000) * 5e-4, np.arange(1, _TAU_CHUNK + 1) * 5e-4):
+            tracemalloc.start()
+            try:
+                _interference_sums(abs_tau, omega, coef)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        lattice, direct = peaks
+        assert direct >= 2 * _TAU_CHUNK * nodes * 8
+        assert lattice <= direct
 
 
 class TestDelayGrid:
