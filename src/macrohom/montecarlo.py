@@ -53,8 +53,12 @@ NRF = Var(S1 - S2)/<S1 + S2> and g2 = <S1 S2>/(<S1><S2>).
 Reproducibility: each fixed-size chunk of pulses draws from its own SFC64
 stream, seeded by SeedSequence([seed, chunk index]), so results are
 bit-identical for a given seed at any thread count; scan points derive
-child seeds from (seed, point index).  ``RNG_STREAM`` names this stream
-in the run manifest.
+child seeds from (seed, point index).  Within a chunk the stream is read
+one arithmetic block of pulses at a time, the block's jitter and then its
+normals, just before the block's arithmetic, so an ensemble holds one
+block of draws (about 2 MB) rather than a chunk's.  A chunk of at most
+``_BLOCK`` clusters is one block.  ``RNG_STREAM`` names this stream in
+the run manifest.
 """
 
 from __future__ import annotations
@@ -71,14 +75,17 @@ from .params import CrystalParams, DetectionModel, PumpParams, SpectralGrid, _gl
 
 _CHUNK = 256  # pulses per RNG stream; fixed so reruns are bit-identical
 _N_NORMALS = 16  # real normals per cluster: 8 complex inputs
-RNG_STREAM = (
-    f"SFC64(SeedSequence([seed, chunk])), {_CHUNK}-pulse chunks, {_N_NORMALS} normals per cluster"
-)
 _BLOCK = 16384  # clusters per arithmetic block, sized to stay in cache
+RNG_STREAM = (
+    f"SFC64(SeedSequence([seed, chunk])), {_CHUNK}-pulse chunks, read per block of "
+    f"max(1, {_BLOCK} // clusters) pulses: jitter, then {_N_NORMALS} normals per cluster"
+)
 _QUAD_PER_BIN = 64  # Gauss-Legendre nodes per lattice bin in expected_stats
+# float64 per cluster of a block: jitter, normals and _block_signals' peak temporaries
+_PER_CLUSTER = 1 + _N_NORMALS + 24
 _PER_PULSE = 9  # float64 per pulse: s1, s2 and the jackknife temporaries
 # cap on an ensemble's estimated float64 working set, 2^27 values (1 GiB):
-# about 54x the reference run of 30 000 pulses, 10 modes and 48 bins
+# about 143x the reference run of 30 000 pulses, 10 modes and 48 bins
 _MAX_FLOATS = 2**27
 
 
@@ -224,11 +231,13 @@ def _block_signals(omega, normals, tau, crystal, pump, eta):
 
 
 def _ensemble_floats(det: DetectionModel, lattice: LatticeSpec) -> int:
-    """Estimated float64 working set of one ensemble: 18 floats per cluster
-    and chunk pulse (16 normals, jitter, detuning), plus the per-pulse
+    """Estimated float64 working set of one ensemble: ``_PER_CLUSTER``
+    floats per cluster of one arithmetic block (its jitter and normals
+    and the temporaries of :func:`_block_signals`), plus the per-pulse
     arrays.  Raises when it alone is above ``_MAX_FLOATS``."""
     n, clusters = det.n_pulses, det.m_modes * lattice.n_freq_bins
-    floats = (_N_NORMALS + 2) * min(_CHUNK, n) * clusters + _PER_PULSE * n
+    block = min(max(1, _BLOCK // clusters), _CHUNK, n) * clusters
+    floats = _PER_CLUSTER * block + _PER_PULSE * n
     if floats > _MAX_FLOATS:
         raise ValidationError(
             f"an ensemble of {n} pulses x {clusters} clusters needs about "
@@ -245,6 +254,9 @@ def _check_delay(tau: float, pump: PumpParams):
         )
 
 
+# signals leave float64 from a gain of about 200, and at unit efficiency the
+# pairs' 1 + 2 eta v0^2 from about 355: _estimate's finite checks name it
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_ensemble(
     crystal: CrystalParams,
     pump: PumpParams,
@@ -263,38 +275,38 @@ def simulate_ensemble(
     if n_pulses < 3:  # the delete-one jackknife of a variance divides by n - 2
         raise ValidationError(f"need at least 3 pulses per ensemble, got {n_pulses}")
     dw = lattice.bin_width
-    bins = np.arange(k, dtype=float)
+    bins = np.tile(np.arange(k, dtype=float), m)
 
     s1 = np.empty(n_pulses)
     s2 = np.empty(n_pulses)
     noise_amp = math.sqrt(det.noise_var)
-    # one normals buffer per ensemble: re-allocating the tens-of-MB block
-    # every chunk fragments the heap and can raise peak memory by a block
-    buffer = np.empty(_N_NORMALS * min(_CHUNK, n_pulses) * m * k)
     step = max(1, _BLOCK // (m * k))
+    # one buffer per ensemble, reused by every block: each block's jitter and
+    # normals are drawn into it just before the block's arithmetic
+    buffer = np.empty((1 + _N_NORMALS) * min(step, _CHUNK, n_pulses) * m * k)
 
     for chunk_idx, lo in enumerate(range(0, n_pulses, _CHUNK)):
         hi = min(lo + _CHUNK, n_pulses)
         npc = hi - lo
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, chunk_idx])))
-        jitter = rng.random((npc, m, k))
-        omega = ((bins + jitter) * dw).reshape(npc, m * k)
-        normals = buffer[: _N_NORMALS * omega.size].reshape((_N_NORMALS,) + omega.shape)
-        rng.standard_normal(out=normals)
         c1, c2 = s1[lo:hi], s2[lo:hi]
         for r in range(0, npc, step):
-            rows = slice(r, r + step)
-            total, diff = _block_signals(
-                omega[rows], normals[:, rows], tau, crystal, pump, det.eta
-            )
+            nb = min(step, npc - r)
+            rows = slice(r, r + nb)
+            draws = buffer[: (1 + _N_NORMALS) * nb * m * k].reshape(1 + _N_NORMALS, nb, m * k)
+            omega, normals = draws[0], draws[1:]
+            rng.random(out=omega)  # the jitter, made the detuning in place
+            omega += bins
+            omega *= dw
+            rng.standard_normal(out=normals)
+            total, diff = _block_signals(omega, normals, tau, crystal, pump, det.eta)
             c1[rows] = 0.5 * (total + diff)
             c2[rows] = 0.5 * (total - diff)
         if noise_amp > 0:
             c1 += noise_amp * rng.standard_normal(npc)
             c2 += noise_amp * rng.standard_normal(npc)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the finite check
-        return _estimate(s1, s2)
+    return _estimate(s1, s2)
 
 
 def _estimate(s1, s2) -> EnsembleStats:

@@ -341,6 +341,18 @@ class TestMcCommand:
         )
         assert (out_a / "mc.csv").read_bytes() == (out_b / "mc.csv").read_bytes()
 
+    def test_reference_lattice_is_identical_at_any_thread_count(self, tmp_path):
+        # 480 clusters: each 256-pulse chunk is drawn in blocks of 34 pulses,
+        # and the second chunk of 44 pulses ends in a partial block
+        cfg = "[detection]\npulses = 300\n[mc]\ntau_points = 0.0, 2.5, 45.0\n"
+        outputs = []
+        for threads in ("1", "2", "3"):
+            out = tmp_path / threads
+            out.mkdir()
+            assert run(out, "mc", cfg, extra=["--seed", "5", "--threads", threads]) == 0
+            outputs.append((out / "mc.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
     @pytest.mark.parametrize("config_text", ["[pump]\npump_nm = 354.65\n", "[mc]\nseed = 7\n"])
     def test_keys_set_elsewhere_are_unknown(self, tmp_path, capsys, config_text):
         assert run(tmp_path, "mc", "[detection]\npulses = 3\n" + config_text) == 2
@@ -435,10 +447,10 @@ class TestNonFiniteInputs:
                 "[pump]\npulse_fwhm_ps = 1e308\n[detection]\npulses = 4\n",
                 "no finite number of lattice slices",
             ),
-            # one ensemble of 256 pulses x 15000 clusters fits; two at once do not
+            # one ensemble of 256 pulses x 2000000 clusters fits; two at once do not
             (
                 "mc --threads 2",
-                "[detection]\nmodes = 10\npulses = 256\n[mc]\nn_freq_bins = 1500\n",
+                "[detection]\nmodes = 10\npulses = 256\n[mc]\nn_freq_bins = 200000\n",
                 "the thread count must be <= 1",
             ),
         ],
@@ -577,15 +589,20 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["run.ini"]
 
-    @pytest.mark.parametrize("gain", ["200", "300", "355.5"])
-    def test_overflowing_gain_fails_without_warnings(self, tmp_path, capsys, gain):
+    @pytest.mark.parametrize(
+        "gain, efficiency, bins",
+        [("200", "0.03", 2), ("300", "0.03", 2), ("355.5", "0.03", 2), ("355.5", "1.0", 1)],
+    )
+    def test_overflowing_gain_fails_without_warnings(self, tmp_path, capsys, gain, efficiency, bins):
         # (Im u0^2)^2 and |Re u0^2| v0 pass float64's range above gains of
         # about 178 and 237; the pair factors never form them, so the run
         # ends on the ensemble's overflowing variance with one message.
         # Signals pass 1e154 from gain 200 on, where their squares in the
-        # standard errors overflow: that is named, not unresolved means
+        # standard errors overflow: that is named, not unresolved means.
+        # At unit efficiency and gain 355.5 a pair's 1 + 2 eta v0^2 leaves
+        # float64 near the spectrum's peak, which one bin samples
         cfg = f"[pump]\ngain = {gain}\n[detection]\npulses = 3\nmodes = 1\n"
-        cfg += "[mc]\nn_freq_bins = 2\n"
+        cfg += f"efficiency = {efficiency}\n[mc]\nn_freq_bins = {bins}\n"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(tmp_path, "mc", cfg) == 3
@@ -749,8 +766,9 @@ def test_combined_keys_give_finite_csv_or_exit_with_message(command, sections):
             assert rows and all(math.isfinite(v) for row in rows for v in row)
 
 
-# [detection] and [mc] keys that the mc property draws together
+# [pump], [detection] and [mc] keys that the mc property draws together
 MC_COMBINED_KEYS = [
+    ("pump", "gain"),
     ("detection", "efficiency"),
     ("detection", "modes"),
     ("detection", "noise_var"),
@@ -762,17 +780,20 @@ MC_COMBINED_KEYS = [
 
 @st.composite
 def mc_config(draw):
-    """Every [detection] and [mc] key set at once, to an ordinary value or,
-    for up to two keys, to a special one.  The efficiency takes 1.0 and
-    values near 0 as well; delays reach past the 6 sigma bound (about
-    65 ps).  At most 48 pulses, 12 modes and 64 bins: these bounds are for
-    runtime only."""
+    """The gain and every [detection] and [mc] key set at once, to an
+    ordinary value or, for up to two keys, to a special one.  The gain
+    reaches 355.5, where sinh^2 of it nears float64's largest value; the
+    efficiency takes 1.0 and values near 0 as well; delays reach past the
+    6 sigma bound (about 65 ps).  At most 48 pulses, 12 modes and 64 bins:
+    these bounds are for runtime only."""
+    gain = st.one_of(st.floats(0.0, 13.0), st.floats(0.0, 355.5))
     efficiency = st.one_of(
         st.just(1.0), st.sampled_from([5e-324, 1e-300, 1e-12]), st.floats(1e-6, 1.0)
     )
     delays = st.lists(st.floats(-70.0, 70.0), min_size=1, max_size=3)
     noise = st.one_of(st.just(0.0), st.floats(0.0, 1e6), st.floats(0.0, 1e300))
     sections = {
+        "pump": {"gain": repr(draw(gain))},
         "detection": {
             "efficiency": repr(draw(efficiency)),
             "modes": str(draw(st.integers(1, 12))),

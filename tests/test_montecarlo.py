@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from macrohom.errors import NumericalError, ValidationError
 from macrohom.gain import _bogoliubov, _half_angle, _v_abs, gain_at
 from macrohom.montecarlo import (
+    _MAX_FLOATS,
     _QUAD_PER_BIN,
+    EnsembleStats,
     LatticeSpec,
+    _ensemble_floats,
     _twin_factors,
     derive_seed,
     dip_scan,
@@ -157,6 +160,59 @@ class TestSimulateEnsemble:
 
     def test_wigner_guard(self, crystal, lattice):
         assert wigner_cell_occupancy(crystal, PUMP, lattice) >= 10.0
+
+    # criterion 6's two ensembles (m = 1, 16 bins, 6000 pulses, its seeds)
+    # as a whole-chunk draw gave them: 16 clusters make every 256-pulse
+    # chunk one block, so the per-block draw reads the stream in that order
+    SINGLE_BLOCK_PINS = {
+        0.0: EnsembleStats(
+            nrf_hat=34328.10338884577,
+            g2_hat=1.0012591161856759,
+            se_nrf=680.7888590738823,
+            se_g2=0.002499725826139622,
+        ),
+        40.0: EnsembleStats(
+            nrf_hat=1.0091835925395918,
+            g2_hat=1.0960266189486398,
+            se_nrf=0.019532410356160393,
+            se_g2=0.0019048250984927803,
+        ),
+    }
+
+    def test_single_block_chunks_draw_as_before(self, crystal):
+        lattice = LatticeSpec.default(crystal, PUMP, n_freq_bins=16)
+        det = DetectionModel(eta=0.03, m_modes=1, n_pulses=6000)
+        for idx, tau in enumerate(sorted(self.SINGLE_BLOCK_PINS)):
+            got = simulate_ensemble(crystal, PUMP, det, lattice, tau, derive_seed(20260811, idx))
+            assert got == self.SINGLE_BLOCK_PINS[tau]
+
+
+class TestWorkingSet:
+    def test_ensemble_floats_is_what_an_ensemble_holds(self, crystal):
+        # the reference lattice, 480 clusters, over three chunks: 34-pulse
+        # blocks of draws and their arithmetic, then the per-pulse arrays.
+        # A first call also imports numpy's lazy modules, so one runs before
+        import tracemalloc
+
+        lattice = LatticeSpec.default(crystal, PUMP, n_freq_bins=48)
+        det = small_det(n_pulses=768, m=10)
+        simulate_ensemble(crystal, PUMP, small_det(n_pulses=3, m=1), lattice, 2.5, seed=7)
+        counted = 8 * _ensemble_floats(det, lattice)
+        tracemalloc.start()
+        try:
+            simulate_ensemble(crystal, PUMP, det, lattice, 2.5, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.95 * counted <= peak <= 1.02 * counted
+        assert counted < 6 * 2**20  # a whole chunk's normals would be 15.7 MB
+
+    def test_pool_cap_row_fits_once_and_not_twice(self, crystal):
+        # the CLI's thread-cap row: 256 pulses x 10 modes x 200 000 bins, one
+        # block of 2 000 000 clusters
+        lattice = LatticeSpec.default(crystal, PUMP, n_freq_bins=200_000)
+        floats = _ensemble_floats(DetectionModel(m_modes=10, n_pulses=256), lattice)
+        assert _MAX_FLOATS // 2 < floats <= _MAX_FLOATS
 
 
 def previous_pair_moments(omega, tau, crystal, pump, eta):
