@@ -720,13 +720,15 @@ COMBINED_KEYS = [
 @st.composite
 def combined_config(draw):
     """Every combined key set at once, to an ordinary value or, for up to
-    two keys, to a special one.  The [trace] grid keeps at most 64 points
-    per side and the sweep at most three gains: both bounds are for
-    runtime only."""
+    two keys, to a special one.  The pump gain reaches 355.5, where sinh^2
+    of it nears float64's largest value.  The [trace] grid keeps at most
+    64 points per side and the sweep at most three gains: both bounds are
+    for runtime only."""
     gains = st.floats(0.0, 13.0).map(repr)
+    pump_gain = st.one_of(st.floats(0.0, 13.0), st.floats(0.0, 355.5)).map(repr)
     tau_max = draw(st.floats(1e-3, 120.0))
     sections = {
-        "pump": {"gain": draw(gains), "pulse_fwhm_ps": repr(draw(st.floats(1e-2, 200.0)))},
+        "pump": {"gain": draw(pump_gain), "pulse_fwhm_ps": repr(draw(st.floats(1e-2, 200.0)))},
         "trace": {
             "tau_max_ps": repr(tau_max),
             "tau_step_ps": repr(tau_max / draw(st.integers(1, 64))),
@@ -750,14 +752,19 @@ def test_combined_keys_give_finite_csv_or_exit_with_message(command, sections):
         f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for s, kv in sections.items()
     )
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         out = pathlib.Path(tmp)
         code = run(out, command, text)  # an uncaught exception (exit 1) fails here
         event(f"exit {code}")
         assert code in (0, 2, 3, 4)
+        assert not caught, [str(w.message) for w in caught]
+        lines = err.getvalue().splitlines()
         if code:
-            assert err.getvalue().strip()
+            assert len(lines) == 1 and lines[0].strip(), lines
         else:
+            assert not lines, lines
             manifest = json.loads(
                 (out / "manifest.json").read_text(), parse_constant=reject_constant
             )

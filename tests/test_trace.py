@@ -15,7 +15,6 @@ from macrohom.trace import (
     Trace,
     _fwhm,
     _interference_sums,
-    _TAU_CHUNK,
     default_grid,
     delay_grid,
     detected_trace,
@@ -316,6 +315,19 @@ class TestFwhm:
         scaled = fwhm_narrow(detected_trace(nrf, det), detected_trace(ped, det))
         assert scaled == pytest.approx(raw, rel=1e-9)
 
+    def test_interpolation_bias_at_the_default_steps(self, crystal):
+        # linear interpolation of the crossings overstates the narrow width
+        # at G = 7.5: the sweep's 0.02 ps and the trace's 0.05 ps steps
+        # against a 0.001 ps grid on the same nodes
+        grid = default_grid(crystal, PUMP, 6.0)
+
+        def width(step):
+            return fwhm_narrow(*nrf_and_pedestal(delay_grid(6.0, step), crystal, PUMP, grid))
+
+        fine = width(0.001)
+        for step, bound in ((0.02, 5e-5), (0.05, 1e-3)):
+            assert 0.0 < width(step) / fine - 1.0 <= bound
+
     def test_unbracketed_crossing(self):
         tau = np.linspace(-0.1, 0.1, 11)
         nrf = Trace(tau=tau, value=1.0 + triangle(tau, 5.0), kind="nrf_ideal")
@@ -543,21 +555,30 @@ class TestInterferenceSupport:
         assert abs(cut) > 0.1 and cut == pytest.approx(wide, rel=1e-3)
 
 
-class TestLatticeSums:
-    """Delays i D, as delay_grid builds them, are summed by angle addition;
-    any other set of delays by the direct cosine product."""
+class TestInterferenceSums:
+    """Angle addition over blocks of about sqrt(n) delays on the lattice
+    i D that delay_grid builds, and over one-delay blocks on any other
+    sorted, distinct set."""
 
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
         g=st.floats(0.1, 50.0),
         n=st.integers(2, 640),
         span=st.floats(0.05, 3.0),
         oversampling=st.floats(1.0, 4.0),
+        lattice=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_within_eight_eps_of_exact_rows(self, crystal, g, n, span, oversampling):
+    def test_within_eight_eps_of_exact_rows(self, crystal, g, n, span, oversampling, lattice, seed):
         # n delays spanning up to 3 d L, on a node grid that resolves them
-        # (the resolution rule of required_nodes) up to 4 times over
-        abs_tau = np.arange(n) * (span * crystal.walkoff_slope * crystal.length_mm / (n - 1))
+        # (the resolution rule of required_nodes) up to 4 times over: the
+        # lattice i D, or n sorted delays drawn uniformly off it
+        tau_max = span * crystal.walkoff_slope * crystal.length_mm
+        if lattice:
+            abs_tau = np.arange(n) * (tau_max / (n - 1))
+        else:
+            abs_tau = np.unique(np.random.default_rng(seed).uniform(0.0, tau_max, n))
+            assert not np.array_equal(abs_tau, np.arange(abs_tau.size) * abs_tau[1])
         pump = PumpParams(g_peak=g, t_p=18.0)
         omega_max = omega_max_for(crystal, pump)
         nodes = int(oversampling * 8.0 * omega_max * abs_tau[-1] / math.pi) + 16
@@ -568,45 +589,39 @@ class TestLatticeSums:
         got = _interference_sums(abs_tau, grid.omega, coef)
         assert np.max(np.abs(got - exact)) <= 8.0 * np.finfo(float).eps * math.fsum(np.abs(coef))
 
-    def test_nudged_delay_takes_the_direct_path(self, crystal, monkeypatch):
-        import macrohom.trace as trace_module
-
-        calls = []
-        lattice = trace_module._lattice_sums
-        monkeypatch.setattr(
-            trace_module, "_lattice_sums", lambda *args: calls.append(1) or lattice(*args)
-        )
+    def test_nudged_delay_agrees_with_the_lattice(self, crystal):
         tau = delay_grid(6.0, 0.02)
         grid = default_grid(crystal, PUMP, 6.0)
         nrf, ped = nrf_and_pedestal(tau, crystal, PUMP, grid)
-        assert calls == [1]
-        # one interior delay inside d L = 1.99 ps moved up by one ulp
+        # one interior delay inside d L = 1.99 ps moved up by one ulp takes
+        # the delays off the lattice
         i = int(np.searchsorted(tau, 1.0))
         nudged = tau.copy()
         nudged[i] = np.nextafter(tau[i], 2.0)
         nrf_n, ped_n = nrf_and_pedestal(nudged, crystal, PUMP, grid)
-        assert calls == [1]
         shared = np.arange(tau.size) != i
         np.testing.assert_allclose(nrf_n.value[shared], nrf.value[shared], rtol=1e-13, atol=0)
         np.testing.assert_allclose(ped_n.value[shared], ped.value[shared], rtol=1e-13, atol=0)
 
-    def test_memory_at_the_node_cap(self):
-        # the direct product's peak is one _TAU_CHUNK-row chunk; 4000
-        # lattice delays take the largest offset block and must stay below it
+    @pytest.mark.parametrize(
+        "abs_tau, block",
+        [(np.arange(4000) * 5e-4, 64), (np.arange(1, 257) * 5e-4, 1)],
+        ids=["lattice", "off-lattice"],
+    )
+    def test_memory_at_the_node_cap(self, abs_tau, block):
+        # four (block x node) arrays and a few node-sized rows: 4000
+        # lattice delays take the largest block, 64; a set off the
+        # lattice takes blocks of one
         nodes = 65536
         omega = np.linspace(0.0, 45.0, nodes)
         coef = np.random.default_rng(3).standard_normal(nodes)
-        peaks = []
-        for abs_tau in (np.arange(4000) * 5e-4, np.arange(1, _TAU_CHUNK + 1) * 5e-4):
-            tracemalloc.start()
-            try:
-                _interference_sums(abs_tau, omega, coef)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        lattice, direct = peaks
-        assert direct >= 2 * _TAU_CHUNK * nodes * 8
-        assert lattice <= direct
+        tracemalloc.start()
+        try:
+            _interference_sums(abs_tau, omega, coef)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (4 * block + 3) * nodes * 8
 
 
 class TestDelayGrid:
