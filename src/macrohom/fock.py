@@ -32,12 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .params import _MAX_FLOATS
 
 _ADEQUACY = 1e-10
 _NORM_SLACK = 1e-8
-# float64 values the ladder-grid pass may hold; the same cap as the Monte
-# Carlo working set (montecarlo._MAX_FLOATS), 1 GiB
-_MAX_FLOATS = 2**27
 
 
 @dataclass(frozen=True)

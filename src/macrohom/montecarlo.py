@@ -9,20 +9,21 @@ pushed through the Bogoliubov map, the delay, the loss channel and the
 ordering correction.  Detunings are stratified over the lattice bins
 with a uniform jitter inside each bin, which makes every ensemble
 average an unbiased estimate of the corresponding detuning integral at
-any delay (no aliasing of the exp(2 i Omega tau) phase).  The lattice's
-time slices are recorded in the run manifest and not read by the
-sampler; delays are bounded by 6 sigma of the pump envelope.
+any delay (no aliasing of the exp(2 i Omega tau) phase).  Delays are
+bounded by 6 sigma of the pump envelope.
 
-The delay enters twice, exactly as in the quadrature model:
+The delay enters twice, as in the quadrature model:
 
 * an intra-bin phase exp(+/- i Omega tau) on the delayed beam's modes;
 * the envelope overlap: the delayed beam is split into a "window"
   component that interferes with the reference beam, with amplitude
   ratio r = v(Omega, tau)/v(Omega, 0), and an orthogonal complement that
   reaches the detectors without a partner.  This reproduces the
-  gain-at-shifted-pump-time convention of the trace module pointwise
-  (the interference term acquires the physical r^2 envelope factor,
-  negligible inside the narrow peak).
+  gain-at-shifted-pump-time convention of the trace module pointwise,
+  but the interference term acquires the physical r^2 envelope factor,
+  which the trace drops: on the reference lattice the detected trace
+  exceeds the Wick nrf by a relative 4.37e-3 at tau = 0.5 ps (0.53 se of a
+  30 000-pulse ensemble), 1.14e-3 at 1 ps and 4.8e-6 at 1.5 ps.
 
 The mirrored pair's squeezing phase is compensated so that the
 interference term carries Re(u^2) cos(2 Omega tau), matching the even
@@ -71,7 +72,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .gain import _bogoliubov, _half_angle, _half_max_angle, _v_abs, gain_at, omega_max_for, spectrum
-from .params import CrystalParams, DetectionModel, PumpParams, SpectralGrid, _gl_rule
+from .params import _MAX_FLOATS, CrystalParams, DetectionModel, PumpParams, SpectralGrid, _gl_rule
 
 _CHUNK = 256  # pulses per RNG stream; fixed so reruns are bit-identical
 _N_NORMALS = 16  # real normals per cluster: 8 complex inputs
@@ -84,9 +85,6 @@ _QUAD_PER_BIN = 64  # Gauss-Legendre nodes per lattice bin in expected_stats
 # float64 per cluster of a block: jitter, normals and _block_signals' peak temporaries
 _PER_CLUSTER = 1 + _N_NORMALS + 24
 _PER_PULSE = 9  # float64 per pulse: s1, s2 and the jackknife temporaries
-# cap on an ensemble's estimated float64 working set, 2^27 values (1 GiB):
-# about 143x the reference run of 30 000 pulses, 10 modes and 48 bins
-_MAX_FLOATS = 2**27
 
 
 @dataclass(frozen=True)

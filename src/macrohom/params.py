@@ -26,6 +26,9 @@ _MAX_GAIN = math.asinh(math.sqrt(sys.float_info.max))
 # Gauss-Legendre nodes per panel of a composite spectral grid
 _GL_ORDER = 16
 
+# float64 values the Fock oracle or the Monte Carlo may hold at once, 1 GiB
+_MAX_FLOATS = 2**27
+
 
 def _require_finite(record):
     """Reject NaN and infinite values in every float field of a record;

@@ -50,6 +50,10 @@ grids the pedestal agrees with exactly rounded sums to about 3e-14
 relative.  Where interpolation would not save evaluations, or q takes a
 single value, F is summed at every q instead.
 
+Both kernels form at most _ROW_BLOCK = 64 delay rows at once, offsets of
+the angle addition or values of q, and hold at most 4.25 (64 x node)
+float64 arrays: 136 MiB at the 65 536-node cap.
+
 The g2 trace follows from the same variance physics: the total detected
 signal is delay independent, so the cross-correlation dips exactly where
 the difference variance peaks.  In the frequency basis each detuning
@@ -84,9 +88,8 @@ TRACE_KINDS = ("nrf_ideal", "nrf_detected", "nrf_pedestal", "g2")
 # lower bound: difference-signal variance never falls below shot noise here
 _NRF_FLOOR = 1.0 - 1e-6
 
-_TAU_CHUNK = 256
-# most offset rows of the angle-addition sums on lattice delays
-_LATTICE_BLOCK = 64
+# most delay rows either trace kernel forms at once (see the module docstring)
+_ROW_BLOCK = 64
 
 # pedestal interpolant in log F: starting degree, and the size of the
 # trailing Chebyshev coefficients, relative to the largest, that ends the
@@ -95,9 +98,7 @@ _CHEB_DEGREE = 16
 _CHEB_TOL = 1e-14
 
 # resource guards, about 40x and 28x the reference sizes (1600 delays per
-# side, 2304 nodes).  At the node cap the interference sums hold at most
-# four (64 x node) float64 arrays, 128 MiB, and one _TAU_CHUNK-row chunk of
-# the pedestal factor peaks at 4.25 (256 x node) arrays, 544 MiB (tracemalloc)
+# side, 2304 nodes); at the node cap either trace kernel holds at most 136 MiB
 _MAX_DELAYS_PER_SIDE = 65536
 _MAX_NODES = 65536
 
@@ -134,10 +135,13 @@ class Trace:
         return self.tau.size
 
 
+def _nodes_needed(span: float, tau_max: float) -> float:
+    return 8.0 * span * abs(tau_max) / math.pi  # 8 samples per period of exp(2 i w tau)
+
+
 def required_nodes(omega_max: float, tau_max: float) -> int:
-    """Node count resolving exp(2 i w tau): 8 samples per period, at most
-    _MAX_NODES."""
-    needed = 8.0 * omega_max * abs(tau_max) / math.pi
+    """Node count resolving exp(2 i w tau) over [0, omega_max], at most _MAX_NODES."""
+    needed = _nodes_needed(omega_max, tau_max)
     if not (needed <= _MAX_NODES):
         raise ValidationError(
             f"resolving delays to |tau| = {tau_max} ps needs {needed:.3g} "
@@ -167,11 +171,10 @@ def default_grid(crystal: CrystalParams, pump: PumpParams, tau_max: float) -> Sp
 
 
 def _check_resolution(grid: SpectralGrid, tau):
-    # 8 samples per period of exp(2 i w tau) across the integration span;
     # a single-node grid has no span and nothing to alias
     tau_max = float(np.max(np.abs(tau)))
     span = grid.omega_max - float(grid.omega[0])
-    needed = 8.0 * span * tau_max / math.pi
+    needed = _nodes_needed(span, tau_max)
     if len(grid) < needed:
         raise ValidationError(
             f"grid has {len(grid)} nodes but resolving delays to "
@@ -181,13 +184,12 @@ def _check_resolution(grid: SpectralGrid, tau):
 
 
 def _pedestal_factor(q, x2, coef):
-    """F(q) = sum_w coef S(q - x^2)^2 at each gain squared q, one chunk of
-    q at a time; the pedestal sum at q = G^2 is q F(q)."""
+    """F(q) = sum_w coef S(q - x^2)^2 at each gain squared q, _ROW_BLOCK
+    values of q at a time; the pedestal sum at q = G^2 is q F(q)."""
     out = np.empty(q.size)
-    for lo in range(0, q.size, _TAU_CHUNK):
-        hi = min(lo + _TAU_CHUNK, q.size)
-        s = _sinc_branch(q[lo:hi, None] - x2)
-        out[lo:hi] = (s * s) @ coef
+    for lo in range(0, q.size, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        out[rows] = np.square(_sinc_branch(q[rows, None] - x2)) @ coef
     return out
 
 
@@ -241,17 +243,16 @@ def _interference_sums(abs_tau, omega, coef):
 
     which holds on the lattice tau_i = i tau_1 that ``delay_grid`` builds
     (tau_0 = 0, so d_b = tau_b).  There B ~ sqrt(n), at most
-    _LATTICE_BLOCK, and cos and sin run only at the n/B anchors and the B
+    _ROW_BLOCK, and cos and sin run only at the n/B anchors and the B
     offsets: about 4 sqrt(n) trig rows in place of n cosine rows, with no
     recurrence to accumulate error.  Any other set takes B = 1: each delay
     is its own anchor, its offset is 0, and its row is the plain cosine
     row.  Each anchor's B rows are formed elementwise and summed pairwise,
-    within 8 eps sum|coef| of exactly rounded sums, and four (B x node)
-    arrays are the only large temporaries.
+    within 8 eps sum|coef| of exactly rounded sums.
     """
     n = abs_tau.size
     lattice = n >= 2 and np.array_equal(abs_tau, np.arange(n) * abs_tau[1])
-    b = min(math.isqrt(n - 1) + 1, _LATTICE_BLOCK) if lattice else 1
+    b = min(math.isqrt(n - 1) + 1, _ROW_BLOCK) if lattice else 1
     phase = np.multiply.outer(2.0 * (abs_tau[:b] - abs_tau[:1]), omega)
     cos_b, sin_b = np.cos(phase), np.sin(phase, out=phase)
     cos_prod, sin_prod = np.empty((2, b, omega.size))
@@ -267,19 +268,13 @@ def _interference_sums(abs_tau, omega, coef):
 def nrf_and_pedestal(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: SpectralGrid):
     """The variance trace and its pedestal, (nrf, pedestal), sharing one
     pedestal sum per delay.  The integrand depends on tau only through
-    tau^2 (in G(tau)) and cos(2 w tau), so the kernel runs once per
+    tau^2 (in G(tau)) and cos(2 w tau), so the kernels run once per
     distinct |tau| of ``tau_grid`` and both traces are expanded back onto
-    it: both are even by construction.
-
-    The pedestal sum q F(q), q = G(tau)^2, comes from a Chebyshev
-    interpolant of log F (see :func:`_pedestal_sums`), within about 3e-14
-    relative of exactly rounded sums on the reference and sweep grids.
-    The interference sum runs over the distinct |tau| <= d L by angle
-    addition, in blocks of about sqrt(n) delays where they are a lattice
-    i D and of one delay otherwise (see :func:`_interference_sums`), and
-    is exactly 0 beyond, where the integral vanishes by the Paley-Wiener
-    theorem (see the module docstring); at d L = 0 it runs at every
-    |tau|."""
+    it: both are even by construction.  The pedestal sums come from
+    :func:`_pedestal_sums`, the interference sums from
+    :func:`_interference_sums` at |tau| <= d L (see the module docstring).
+    The pedestal is >= 1, so a computed nrf below shot noise is the
+    interference sum's rounding, and raises NumericalError."""
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or tau.size == 0:
         raise ValidationError("tau grid must be a nonempty 1-d sequence")
@@ -312,6 +307,11 @@ def nrf_and_pedestal(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: S
             interf[:n_in] = _interference_sums(abs_tau[:n_in], omega, interf_coef)
             pedestal = 1.0 + ped_sum / denom
             nrf = 1.0 + (ped_sum + interf) / denom
+            if np.min(nrf) < _NRF_FLOOR:
+                raise NumericalError(
+                    f"nrf trace dips below shot noise, min {np.min(nrf):.3g}: the interference "
+                    f"sum's rounding error exceeds shot noise at gain {pump.g_peak}"
+                )
             pedestal, nrf = pedestal[back], nrf[back]
     return (
         Trace(tau=tau, value=nrf, kind="nrf_ideal"),

@@ -648,6 +648,15 @@ class TestExitCodes:
         assert "delay 70.0 ps outside 6 sigma" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["run.ini"]
 
+    @pytest.mark.parametrize("command", ["trace", "g2"])
+    def test_rounding_below_shot_noise_maps_to_3(self, tmp_path, capsys, command):
+        # inside d L the interference sum's rounding, about eps sinh^4 G,
+        # exceeds the shot-noise level at this gain
+        assert run(tmp_path, command, "[pump]\ngain = 150\n") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "interference sum's rounding error" in err[0]
+        assert os.listdir(tmp_path) == ["run.ini"]
+
     def test_io_failure_maps_to_4(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("not a directory")
@@ -704,6 +713,39 @@ def test_runtime_warnings_in_the_package_are_errors(module):
     assert len(caught) == (module not in PACKAGE_MODULES)
 
 
+def assert_finite_csv_or_one_message(command, sections, data=None):
+    """Run ``command`` on the config ``sections``, with the text ``data``
+    as its [fit] data file if given.  It exits 0 with a finite CSV, a
+    strict-JSON manifest and nothing on stderr, or 2, 3 or 4 with exactly
+    one stderr line; no warnings either way."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = pathlib.Path(tmp)
+        if data is not None:
+            (out / "data.csv").write_text(data)
+            sections = dict(sections, fit={"data": str(out / "data.csv")})
+        text = "".join(
+            f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for s, kv in sections.items()
+        )
+        code = run(out, command, text)  # an uncaught exception (exit 1) fails here
+        event(f"exit {code}")
+        assert code in (0, 2, 3, 4)
+        assert not caught, [str(w.message) for w in caught]
+        lines = err.getvalue().splitlines()
+        if code:
+            assert len(lines) == 1 and lines[0].strip(), lines
+        else:
+            assert not lines, lines
+            manifest = json.loads(
+                (out / "manifest.json").read_text(), parse_constant=reject_constant
+            )
+            (name,) = manifest["outputs"]
+            _, rows = read_csv(out / name)
+            assert rows and all(math.isfinite(v) for row in rows for v in row)
+
+
 # values that a combined key may take instead of an ordinary number
 SPECIAL_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-200", "5e-324", "1e300", "abc"]
 COMBINED_KEYS = [
@@ -748,29 +790,7 @@ def combined_config(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(sections=combined_config())
 def test_combined_keys_give_finite_csv_or_exit_with_message(command, sections):
-    text = "".join(
-        f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for s, kv in sections.items()
-    )
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
-            warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = pathlib.Path(tmp)
-        code = run(out, command, text)  # an uncaught exception (exit 1) fails here
-        event(f"exit {code}")
-        assert code in (0, 2, 3, 4)
-        assert not caught, [str(w.message) for w in caught]
-        lines = err.getvalue().splitlines()
-        if code:
-            assert len(lines) == 1 and lines[0].strip(), lines
-        else:
-            assert not lines, lines
-            manifest = json.loads(
-                (out / "manifest.json").read_text(), parse_constant=reject_constant
-            )
-            (name,) = manifest["outputs"]
-            _, rows = read_csv(out / name)
-            assert rows and all(math.isfinite(v) for row in rows for v in row)
+    assert_finite_csv_or_one_message(command, sections)
 
 
 # [pump], [detection] and [mc] keys that the mc property draws together
@@ -820,26 +840,81 @@ def mc_config(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(sections=mc_config())
 def test_mc_combined_keys_give_finite_csv_or_one_message(sections):
-    text = "".join(
-        f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for s, kv in sections.items()
-    )
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
-            warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = pathlib.Path(tmp)
-        code = run(out, "mc", text)  # an uncaught exception (exit 1) fails here
-        event(f"exit {code}")
-        assert code in (0, 2, 3, 4)
-        assert not caught, [str(w.message) for w in caught]
-        lines = err.getvalue().splitlines()
-        if code:
-            assert len(lines) == 1 and lines[0].strip(), lines
-        else:
-            assert not lines, lines
-            manifest = json.loads(
-                (out / "manifest.json").read_text(), parse_constant=reject_constant
-            )
-            (name,) = manifest["outputs"]
-            _, rows = read_csv(out / name)
-            assert rows and all(math.isfinite(v) for row in rows for v in row)
+    assert_finite_csv_or_one_message("mc", sections)
+
+
+# [crystal] and [pump] keys that the calibrate property draws together
+CALIBRATE_COMBINED_KEYS = [
+    ("crystal", "length_mm"),
+    ("crystal", "calibration_fwhm_nm"),
+    ("pump", "gain"),
+    ("pump", "pulse_fwhm_ps"),
+    ("pump", "degenerate_nm"),
+]
+
+
+@st.composite
+def calibrate_config(draw):
+    """Every key calibrate reads set at once, to an ordinary value or, for
+    up to two keys, to a special one.  The gain reaches 355.5, where
+    sinh^2 of it nears float64's largest value; the other keys take
+    values near the reference or anywhere from 1e-300 to 1e300, where
+    the width scale lambda^2 4 x_half / (2 pi c) leaves float64."""
+    gain = st.one_of(st.floats(0.0, 13.0), st.floats(0.0, 355.5))
+
+    def positive(lo, hi):
+        anywhere = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+        return repr(draw(st.one_of(st.floats(lo, hi), anywhere)))
+
+    sections = {
+        "crystal": {
+            "length_mm": positive(1e-3, 100.0),
+            "calibration_fwhm_nm": positive(1e-3, 100.0),
+        },
+        "pump": {
+            "gain": repr(draw(gain)),
+            "pulse_fwhm_ps": positive(1e-2, 200.0),
+            "degenerate_nm": positive(1.0, 1e4),
+        },
+    }
+    for section, key in draw(
+        st.lists(st.sampled_from(CALIBRATE_COMBINED_KEYS), max_size=2, unique=True)
+    ):
+        sections[section][key] = draw(st.sampled_from(SPECIAL_VALUES))
+    return sections
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sections=calibrate_config())
+def test_calibrate_combined_keys_give_finite_csv_or_one_message(sections):
+    assert_finite_csv_or_one_message("calibrate", sections)
+
+
+# fields a fit data row may hold instead of a point near the model curve
+FIT_SPECIAL_VALUES = ["nan", "inf", "-inf", "-1", "0", "5e-324", "1e-310", "1e300", "-1e300"]
+
+
+@st.composite
+def fit_data(draw):
+    """A power/intensity CSV of 1 to 12 points near scale sinh^2(c sqrt(P)),
+    with up to three fields replaced by a special value or any float (NaN,
+    +-inf, negative, subnormal and 1e300-scale among them) and up to three
+    rows repeated."""
+    c = draw(st.floats(1e-3, 5.0))
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+    rows = []
+    for power in draw(st.lists(st.floats(1e-3, 100.0), min_size=1, max_size=12)):
+        noise = 1.0 + draw(st.floats(-0.5, 0.5))
+        rows.append([repr(power), repr(scale * math.sinh(c * math.sqrt(power)) ** 2 * noise)])
+    field = st.one_of(st.sampled_from(FIT_SPECIAL_VALUES), st.floats().map(repr))
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, 1))] = draw(field)
+    rows += [list(draw(st.sampled_from(rows))) for _ in range(draw(st.integers(0, 3)))]
+    return "power_mw,intensity\n" + "".join(f"{p},{i}\n" for p, i in rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=fit_data())
+def test_fit_gain_data_give_finite_csv_or_one_message(data):
+    assert_finite_csv_or_one_message("fit-gain", {}, data)

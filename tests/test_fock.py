@@ -282,11 +282,6 @@ class TestOutputNumberOperator:
 
 
 class TestMemoryGuard:
-    def test_cap_matches_monte_carlo(self):
-        from macrohom import montecarlo
-
-        assert fock._MAX_FLOATS == montecarlo._MAX_FLOATS
-
     def test_grid_floats_is_what_the_pass_holds(self):
         import tracemalloc
 

@@ -15,6 +15,7 @@ from macrohom.trace import (
     Trace,
     _fwhm,
     _interference_sums,
+    _pedestal_factor,
     default_grid,
     delay_grid,
     detected_trace,
@@ -604,24 +605,29 @@ class TestInterferenceSums:
         np.testing.assert_allclose(ped_n.value[shared], ped.value[shared], rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize(
-        "abs_tau, block",
-        [(np.arange(4000) * 5e-4, 64), (np.arange(1, 257) * 5e-4, 1)],
-        ids=["lattice", "off-lattice"],
+        "kernel, values, rows",
+        [
+            (_interference_sums, np.arange(4000) * 5e-4, 64),
+            (_interference_sums, np.arange(1, 257) * 5e-4, 1),
+            (_pedestal_factor, np.linspace(0.0, 60.0, 256), 64),
+        ],
+        ids=["lattice", "off-lattice", "pedestal"],
     )
-    def test_memory_at_the_node_cap(self, abs_tau, block):
-        # four (block x node) arrays and a few node-sized rows: 4000
-        # lattice delays take the largest block, 64; a set off the
-        # lattice takes blocks of one
+    def test_memory_at_the_node_cap(self, kernel, values, rows):
+        # either kernel holds at most 4.25 (rows x node) arrays and a few
+        # node-sized rows: 4000 lattice delays take the largest block, 64,
+        # a set off the lattice takes blocks of one, and 256 values of q
+        # run in four chunks of 64 (the pedestal reads the node row as x^2)
         nodes = 65536
         omega = np.linspace(0.0, 45.0, nodes)
         coef = np.random.default_rng(3).standard_normal(nodes)
         tracemalloc.start()
         try:
-            _interference_sums(abs_tau, omega, coef)
+            kernel(values, omega, coef)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (4 * block + 3) * nodes * 8
+        assert peak <= (4.25 * rows + 3) * nodes * 8
 
 
 class TestDelayGrid:
