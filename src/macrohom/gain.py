@@ -10,9 +10,9 @@ With
 the coefficients are u = C(z) + i*x*S(z) and v = G(t)*S(z), where C and S
 are the even entire functions C(z) = cosh(sqrt(z)) and
 S(z) = sinh(sqrt(z))/sqrt(z), continued through z <= 0 as cos and sinc.
-Evaluating C and S directly (never dividing by sqrt(z)) keeps the
-removable singularity at z = 0 harmless; a short Taylor series covers
-|z| < 1e-6.  Unitarity |u|^2 - |v|^2 = 1 then holds identically.
+Both are evaluated directly, as cosh or cos of s = sqrt(|z|) and sinh(s)/s
+or sin(s)/s, within an ulp of exact however small s is; only z = 0 takes
+the limit S = 1.  Unitarity |u|^2 - |v|^2 = 1 then holds identically.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .params import C_NM_PER_PS, CrystalParams, PumpParams, SpectralGrid
-
-_SERIES_CUTOFF = 1e-6
 
 # |v(omega_max, 0)|^2 must fall below this fraction of |v(0,0)|^2
 TAIL_CUTOFF = 1e-6
@@ -42,33 +40,24 @@ def gain_at(t, pump: PumpParams):
 
 
 def _cosh_branch(z):
-    """C(z) = cosh(sqrt(z)), continued as cos(sqrt(-z)) for z < 0."""
+    """C(z) = cosh(sqrt(z)), continued as cos(sqrt(-z)) for z <= 0."""
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
-    pos = z >= _SERIES_CUTOFF
-    neg = z <= -_SERIES_CUTOFF
+    pos = z > 0
     s = np.sqrt(np.abs(z))
     np.cosh(s, out=out, where=pos)
-    np.cos(s, out=out, where=neg)
-    mid = ~(pos | neg)
-    zm = z[mid]
-    out[mid] = 1.0 + zm / 2.0 + zm * zm / 24.0 + zm * zm * zm / 720.0
+    np.cos(s, out=out, where=~pos)
     return out
 
 
 def _sinc_branch(z):
-    """S(z) = sinh(sqrt(z))/sqrt(z), continued as sin(sqrt(-z))/sqrt(-z)."""
+    """S(z) = sinh(sqrt(z))/sqrt(z), continued as sin(sqrt(-z))/sqrt(-z); S(0) = 1."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= _SERIES_CUTOFF
-    neg = z <= -_SERIES_CUTOFF
+    out = np.ones_like(z)
     s = np.sqrt(np.abs(z))
-    np.sinh(s, out=out, where=pos)
-    np.sin(s, out=out, where=neg)
-    far = pos | neg
-    np.divide(out, s, out=out, where=far)
-    zm = z[~far]
-    out[~far] = 1.0 + zm / 6.0 + zm * zm / 120.0 + zm * zm * zm / 5040.0
+    np.sinh(s, out=out, where=z > 0)
+    np.sin(s, out=out, where=z < 0)
+    np.divide(out, s, out=out, where=s != 0)
     return out
 
 
@@ -84,18 +73,13 @@ def _v_abs(g, x):
 
 
 def _v_abs_scalar(g: float, x: float) -> float:
-    """:func:`_v_abs` for one float pair, in ``math``: the same branches
-    and series, without numpy's per-call array overhead."""
+    """:func:`_v_abs` for one float pair, in ``math``: the same branches,
+    without numpy's per-call array overhead."""
     z = g * g - x * x
-    if z >= _SERIES_CUTOFF:
-        s = math.sqrt(z)
-        sinc = math.sinh(s) / s
-    elif z <= -_SERIES_CUTOFF:
-        s = math.sqrt(-z)
-        sinc = math.sin(s) / s
-    else:
-        sinc = 1.0 + z / 6.0 + z * z / 120.0 + z * z * z / 5040.0
-    return abs(g * sinc)
+    if z == 0.0:
+        return abs(g)
+    s = math.sqrt(abs(z))
+    return abs(g * ((math.sinh(s) if z > 0 else math.sin(s)) / s))
 
 
 def _bogoliubov(g, x):

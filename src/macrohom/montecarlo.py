@@ -149,10 +149,14 @@ class EnsembleStats:
     se_g2: float
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """Deterministic child seed for scan point ``index``."""
+def _check_seed(seed: int):
     if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+
+
+def derive_seed(seed: int, index: int) -> int:
+    """Deterministic child seed for scan point ``index``."""
+    _check_seed(seed)
     return int(np.random.SeedSequence([int(seed), int(index)]).generate_state(1, np.uint64)[0])
 
 
@@ -265,6 +269,7 @@ def simulate_ensemble(
 ) -> EnsembleStats:
     """Simulate ``det.n_pulses`` pulses at a single delay and form the
     twin-signal estimators with jackknife standard errors."""
+    _check_seed(seed)
     _check_delay(tau, pump)
     n_pulses = det.n_pulses
     m = det.m_modes

@@ -76,7 +76,7 @@ class PumpParams:
     g_peak: float = 7.5
     t_p: float = 18.0  # ps, intensity FWHM
     lambda_deg: float = 709.3  # nm
-    lambda_pump: float = 354.7  # nm
+    lambda_pump: float = 354.65  # nm, lambda_deg / 2
 
     def __post_init__(self):
         _require_finite(self)

@@ -179,7 +179,7 @@ def _check_resolution(grid: SpectralGrid, tau):
         raise ValidationError(
             f"grid has {len(grid)} nodes but resolving delays to "
             f"|tau| = {tau_max} ps over a span of {span} rad/ps "
-            f"needs at least {int(math.ceil(needed))}"
+            f"needs at least {needed:.3g}"
         )
 
 
@@ -273,11 +273,14 @@ def nrf_and_pedestal(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: S
     it: both are even by construction.  The pedestal sums come from
     :func:`_pedestal_sums`, the interference sums from
     :func:`_interference_sums` at |tau| <= d L (see the module docstring).
-    The pedestal is >= 1, so a computed nrf below shot noise is the
-    interference sum's rounding, and raises NumericalError."""
+    A computed nrf below shot noise (the pedestal is >= 1), or a rounding
+    floor of the interference sum above 1e-6 of the smallest nrf inside
+    d L, raises NumericalError."""
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or tau.size == 0:
         raise ValidationError("tau grid must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(tau)):
+        raise ValidationError("delays must be finite")
     _check_resolution(grid, tau)
 
     if pump.g_peak == 0.0:
@@ -311,6 +314,13 @@ def nrf_and_pedestal(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: S
                 raise NumericalError(
                     f"nrf trace dips below shot noise, min {np.min(nrf):.3g}: the interference "
                     f"sum's rounding error exceeds shot noise at gain {pump.g_peak}"
+                )
+            # the interference sum's rounding floor (Higham, *Accuracy and Stability*, ch. 4)
+            floor = np.finfo(float).eps * float(np.sum(np.abs(interf_coef))) / denom
+            if n_in and floor > 1e-6 * np.min(nrf[:n_in]):
+                raise NumericalError(
+                    f"the interference sum's rounding floor {floor:.3g} exceeds 1e-6 of the "
+                    f"smallest nrf inside d L, {np.min(nrf[:n_in]):.3g}, at gain {pump.g_peak}"
                 )
             pedestal, nrf = pedestal[back], nrf[back]
     return (

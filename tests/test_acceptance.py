@@ -34,7 +34,7 @@ from macrohom.trace import (
     visibility,
 )
 
-PUMP = PumpParams()  # reference: G = 7.5, t_p = 18 ps, 709.3/354.7 nm
+PUMP = PumpParams()  # reference: G = 7.5, t_p = 18 ps, 709.3/354.65 nm
 
 
 def report(criterion: str, ok: bool, detail: str):

@@ -657,6 +657,21 @@ class TestExitCodes:
         assert len(err) == 1 and "interference sum's rounding error" in err[0]
         assert os.listdir(tmp_path) == ["run.ini"]
 
+    @pytest.mark.parametrize("command", ["trace", "g2"])
+    @pytest.mark.parametrize("gain, code", [("70", 0), ("100", 3)])
+    def test_rounding_floor_inside_walkoff_maps_to_3(self, tmp_path, capsys, command, gain, code):
+        # the interference sum's rounding floor is 2.4e-8 of the smallest
+        # nrf inside d L at gain 70 and 0.47 of it at gain 100, where the
+        # trace stays above shot noise but is wrong near d L
+        assert run(tmp_path, command, f"[pump]\ngain = {gain}\n") == code
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            assert len(err) == 1
+            assert "interference sum's rounding floor" in err[0] and "at gain 100.0" in err[0]
+            assert os.listdir(tmp_path) == ["run.ini"]
+        else:
+            assert err == []
+
     def test_io_failure_maps_to_4(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("not a directory")

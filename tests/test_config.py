@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from macrohom.config import _DEFAULTS, RunConfig
 from macrohom.errors import MacrohomError
+from macrohom.params import PumpParams
 
 KEYS = [(section, key) for section, kv in _DEFAULTS.items() for key in kv]
 
@@ -64,3 +65,7 @@ def test_accessors_raise_or_return_finite(section_key, value):
         except MacrohomError:
             continue
         assert is_finite(result), (section, key, value, name, result)
+
+
+def test_pump_defaults_are_the_reference_config_pump():
+    assert PumpParams() == RunConfig.load(None).pump()

@@ -129,27 +129,21 @@ class TestUV:
 
     def test_branches_bitwise_equal_to_gather_formulas(self):
         # the masked-ufunc branch functions against the gather/scatter
-        # formulas, on every branch, both series cutoffs and 0-d inputs
-        from macrohom.gain import _SERIES_CUTOFF, _cosh_branch, _sinc_branch
+        # formulas: z > 0, z < 0, and 1 at z = 0 (a NaN stays NaN), on
+        # both signs near |z| = 1e-6, +-0, NaN, +-inf and 0-d inputs
+        from macrohom.gain import _cosh_branch, _sinc_branch
 
-        def gathered(z, far_pos, far_neg, series):
+        def gathered(z, far_pos, far_neg):
             z = np.asarray(z, dtype=float)
-            out = np.empty_like(z)
-            pos = z >= _SERIES_CUTOFF
-            neg = z <= -_SERIES_CUTOFF
-            mid = ~(pos | neg)
+            out = np.full_like(z, math.nan)
+            pos, neg = z > 0, z < 0
             out[pos] = far_pos(z[pos])
             out[neg] = far_neg(z[neg])
-            out[mid] = series(z[mid])
+            out[z == 0] = 1.0
             return out
 
         def cosh_ref(z):
-            return gathered(
-                z,
-                lambda zp: np.cosh(np.sqrt(zp)),
-                lambda zn: np.cos(np.sqrt(-zn)),
-                lambda zm: 1.0 + zm / 2.0 + zm * zm / 24.0 + zm * zm * zm / 720.0,
-            )
+            return gathered(z, lambda zp: np.cosh(np.sqrt(zp)), lambda zn: np.cos(np.sqrt(-zn)))
 
         def sinc_ref(z):
             def sinh_over(zp):
@@ -160,35 +154,59 @@ class TestUV:
                 sn = np.sqrt(-zn)
                 return np.sin(sn) / sn
 
-            return gathered(
-                z,
-                sinh_over,
-                sin_over,
-                lambda zm: 1.0 + zm / 6.0 + zm * zm / 120.0 + zm * zm * zm / 5040.0,
-            )
+            return gathered(z, sinh_over, sin_over)
 
-        c = _SERIES_CUTOFF
+        c = 1e-6
         edges = [c, -c, np.nextafter(c, 0.0), np.nextafter(-c, 0.0),
                  np.nextafter(c, 1.0), np.nextafter(-c, -1.0)]
         rng = np.random.default_rng(7)
         z = np.concatenate([
             edges,
-            [0.0, -0.0, 5e-7, -5e-7, 1.0, -1.0, -math.pi**2, 56.25, -400.0, 1e4, math.nan],
-            # contiguous runs and short alternations of the three branches
+            [0.0, -0.0, 5e-7, -5e-7, 1.0, -1.0, -math.pi**2, 56.25, -400.0, 1e4, math.nan,
+             math.inf, -math.inf, 5e-324, -5e-324],
+            # contiguous runs and short alternations of the branches
             np.linspace(-60.0, 60.0, 1001),
             rng.uniform(-2e-6, 2e-6, 500),
             56.25 - rng.uniform(0.0, 450.0, 2000),
         ])
         block = z[: 64 * 40].reshape(64, 40)
-        for fn, ref in ((_cosh_branch, cosh_ref), (_sinc_branch, sinc_ref)):
-            for arg in (z, block, block.T):
-                got = fn(arg)
-                assert got.shape == arg.shape
-                assert got.tobytes() == ref(arg).tobytes()
-            for value in z[:17]:
-                got = fn(np.float64(value))
-                assert got.shape == ()
-                assert got.tobytes() == ref(value).tobytes()
+        with np.errstate(invalid="ignore"):  # sinh(inf)/inf and sin(inf) are NaN
+            for fn, ref in ((_cosh_branch, cosh_ref), (_sinc_branch, sinc_ref)):
+                for arg in (z, block, block.T):
+                    got = fn(arg)
+                    assert got.shape == arg.shape
+                    assert got.tobytes() == ref(arg).tobytes()
+                for value in z[:21]:
+                    got = fn(np.float64(value))
+                    assert got.shape == ()
+                    assert got.tobytes() == ref(value).tobytes()
+
+    def test_branches_match_the_taylor_series_near_zero(self):
+        # the direct forms against the four-term Taylor series, which is
+        # exact to rounding for |z| < 1e-6 (the next term is below 1e-24)
+        from macrohom.gain import _cosh_branch, _sinc_branch
+
+        rng = np.random.default_rng(11)
+        z = np.concatenate([
+            [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324],
+            rng.uniform(-1e-6, 1e-6, 2000),
+            np.nextafter(1e-6, 0.0) * np.array([1.0, -1.0]),
+            10.0 ** rng.uniform(-30.0, -6.0, 1000) * rng.choice([-1.0, 1.0], 1000),
+        ])
+        cosh_series = 1.0 + z / 2.0 + z * z / 24.0 + z * z * z / 720.0
+        sinc_series = 1.0 + z / 6.0 + z * z / 120.0 + z * z * z / 5040.0
+        for fn, series in ((_cosh_branch, cosh_series), (_sinc_branch, sinc_series)):
+            got = fn(z)
+            assert np.all(np.abs(got - series) <= 2.0 * np.spacing(series))
+            # and as 0-d inputs
+            for value, want in zip(z[:6], series[:6]):
+                assert abs(float(fn(np.float64(value))) - want) <= 2.0 * np.spacing(want)
+        for k in range(z.size):
+            g = 1.0 + abs(z[k])  # x^2 = g^2 - z, rounded: z is recomputed below
+            x = math.sqrt(max(g * g - z[k], 0.0))
+            zk = g * g - x * x
+            series = abs(g * (1.0 + zk / 6.0 + zk * zk / 120.0 + zk * zk * zk / 5040.0))
+            assert abs(gain._v_abs_scalar(g, x) - series) <= 2.0 * np.spacing(series)
 
     def test_conjugation_symmetry(self):
         c = crystal_with(0.41)
@@ -360,8 +378,10 @@ def test_scalar_v_abs_matches_array():
     rng = np.random.default_rng(2024)
     g = np.concatenate([rng.uniform(0.0, 355.0, 2000), rng.uniform(0.0, 3.0, 2000)])
     x = g * rng.uniform(0.0, 2.0, g.size)
-    x[-200:] = np.sqrt(g[-200:] ** 2 + rng.uniform(-1e-6, 1e-6, 200))  # the series branch
-    assert np.any(np.abs(g * g - x * x) < gain._SERIES_CUTOFF)
+    x[-200:] = np.sqrt(g[-200:] ** 2 + rng.uniform(-1e-6, 1e-6, 200))  # |z| < 1e-6
+    x[-10:] = g[-10:]  # z = 0
+    z = g * g - x * x
+    assert np.count_nonzero(z == 0) >= 10 and np.count_nonzero((z != 0) & (np.abs(z) < 1e-6)) > 100
     want = gain._v_abs(g, x)
     got = np.array([gain._v_abs_scalar(float(a), float(b)) for a, b in zip(g, x)])
     assert np.all(np.abs(got - want) <= 3.0 * np.spacing(want))

@@ -110,6 +110,14 @@ class TestSimulateEnsemble:
         with pytest.raises(ValidationError, match=outside):
             simulate_ensemble(crystal, PUMP, det, lattice, math.nextafter(edge, math.inf), seed=1)
 
+    def test_negative_seed_rejected_by_the_derive_seed_rule(self, crystal, lattice):
+        det = small_det(n_pulses=200)
+        message = "seed must be a non-negative integer, got -1"
+        with pytest.raises(ValidationError, match=message):
+            simulate_ensemble(crystal, PUMP, det, lattice, 0.0, seed=-1)
+        with pytest.raises(ValidationError, match=message):
+            derive_seed(-1, 0)
+
     def test_loss_affine_law(self, crystal, lattice):
         # the exact moments obey the affine map identically; the sampled
         # estimates must track them within statistical error

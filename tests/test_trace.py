@@ -122,6 +122,23 @@ class TestNrfTrace:
         with pytest.raises(ValidationError, match="grid has"):
             nrf_trace(np.array([-60.0, 0.0, 60.0]), crystal, PUMP, grid)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_delay_rejected_before_the_kernel(self, crystal, monkeypatch, bad):
+        import macrohom.trace
+
+        calls = []
+        monkeypatch.setattr(macrohom.trace, "_pedestal_sums", lambda *a: calls.append(a))
+        grid = SpectralGrid.gauss_legendre(10.0, 64)
+        with pytest.raises(ValidationError, match="delays must be finite"):
+            nrf_trace([0.0, bad], crystal, PUMP, grid)
+        assert calls == []
+
+    def test_unresolvable_finite_delay_is_a_validation_error(self, crystal):
+        # the nodes needed overflow to inf: the message must still format
+        grid = SpectralGrid.gauss_legendre(10.0, 64)
+        with pytest.raises(ValidationError, match="needs at least inf"):
+            nrf_trace([0.0, 1e308], crystal, PUMP, grid)
+
     def test_evenness(self, reference_traces):
         _, _, nrf, ped = reference_traces
         for trace in (nrf, ped):
