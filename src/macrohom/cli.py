@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -29,20 +28,15 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _fmt(x) -> str:
-    # shortest decimal form that round-trips exactly
-    return repr(float(x))
-
-
-def _write_csv(path, header, rows) -> str:
-    """Write the table and return the sha256 of the bytes written."""
-    digest = hashlib.sha256()
+def _write_csv(path, header, columns) -> str:
+    """Write the table, given column by column, and return the sha256 of
+    the bytes written.  Each value is written as repr of its Python float,
+    the shortest decimal form that round-trips exactly."""
+    cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+    data = "\n".join([",".join(header), *map(",".join, zip(*cells)), ""]).encode("utf-8")
     with open(path, "wb") as fh:
-        for line in itertools.chain([",".join(header)], (",".join(map(_fmt, r)) for r in rows)):
-            data = (line + "\n").encode("utf-8")
-            fh.write(data)
-            digest.update(data)
-    return digest.hexdigest()
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _write_manifest(out_dir, command, config: RunConfig, resolved, summary, csv_name, digest):
@@ -85,7 +79,7 @@ def _trace_setup(config: RunConfig):
     crystal = config.crystal()
     det = config.detection()
     tau = config.tau_grid()
-    grid = trace.default_grid(crystal, pump, float(np.max(np.abs(tau))))
+    grid = trace.default_grid(crystal, pump)
     return pump, crystal, det, tau, grid
 
 
@@ -103,7 +97,7 @@ def cmd_trace(config: RunConfig, args):
     return (
         "trace.csv",
         ["tau_ps", "nrf_ideal", "nrf_pedestal", "nrf_detected"],
-        zip(tau, nrf.value, ped.value, detected.value),
+        [tau, nrf.value, ped.value, detected.value],
         _resolved_params(crystal, pump, det),
         summary,
         f"trace: visibility={summary['visibility']:.6f} m_long={summary['m_long']:.2f}",
@@ -124,7 +118,7 @@ def cmd_g2(config: RunConfig, args):
     return (
         "g2.csv",
         ["tau_ps", "g2"],
-        zip(tau, g2.value),
+        [tau, g2.value],
         _resolved_params(crystal, pump, det),
         summary,
         f"g2: dip visibility={summary['dip_visibility']:.4f} edge={edge:.4f}",
@@ -150,7 +144,8 @@ def cmd_sweep_gain(config: RunConfig, args):
         line = f"sweep-gain: ratio={summary['fwhm_ratio_7p5_over_5p5']:.4f}"
     else:
         line = "sweep-gain: done"
-    return "sweep_gain.csv", ["g", "fwhm_ps"], rows, _resolved_params(crystal, pump), summary, line
+    columns = list(zip(*rows))
+    return "sweep_gain.csv", ["g", "fwhm_ps"], columns, _resolved_params(crystal, pump), summary, line
 
 
 def _read_fit_csv(path):
@@ -189,7 +184,7 @@ def cmd_fit_gain(config: RunConfig, args):
     return (
         "fit_gain_residuals.csv",
         ["power_mw", "intensity", "fitted", "residual"],
-        zip(powers, intens, fitted, intens - fitted),
+        [powers, intens, fitted, intens - fitted],
         {"fit": {"data": path}},
         summary,
         f"fit-gain: c={c:.6g} scale={scale:.6g}",
@@ -203,7 +198,7 @@ def cmd_calibrate(config: RunConfig, args):
     return (
         "calibration.csv",
         ["walkoff_ps_per_mm", "achieved_fwhm_nm"],
-        [(crystal.walkoff_slope, achieved)],
+        [[crystal.walkoff_slope], [achieved]],
         _resolved_params(crystal, pump),
         {"walkoff_ps_per_mm": crystal.walkoff_slope, "achieved_fwhm_nm": achieved},
         f"calibrate: walkoff={crystal.walkoff_slope:.6g} ps/mm fwhm={achieved:.4f} nm",
@@ -234,16 +229,16 @@ def cmd_mc(config: RunConfig, args):
     return (
         "mc.csv",
         ["tau_ps", "nrf_hat", "se_nrf", "g2_hat", "se_g2"],
-        [(tau, st.nrf_hat, st.se_nrf, st.g2_hat, st.se_g2) for tau, st in zip(taus, stats)],
+        [taus, *zip(*((st.nrf_hat, st.se_nrf, st.g2_hat, st.se_g2) for st in stats))],
         resolved,
         summary,
         f"mc: {len(taus)} delay points x {det.n_pulses} pulses, seed={args.seed}",
     )
 
 
-# Each command computes its whole result and returns (csv name, header, rows,
-# resolved parameters, summary, stdout line); main writes them, so a run that
-# fails writes no file.
+# Each command computes its whole result and returns (csv name, header,
+# columns, resolved parameters, summary, stdout line); main writes them, so a
+# run that fails writes no file.
 _COMMANDS = {
     "trace": cmd_trace,
     "g2": cmd_g2,
@@ -274,12 +269,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = RunConfig.load(args.config)
-        name, header, rows, resolved, summary, line = _COMMANDS[args.command](config, args)
+        name, header, columns, resolved, summary, line = _COMMANDS[args.command](config, args)
         for key, value in summary.items():  # strict JSON has no Infinity or NaN
             if not math.isfinite(value):
                 raise NumericalError(f"non-finite {key} = {value}")
         os.makedirs(args.out, exist_ok=True)
-        digest = _write_csv(os.path.join(args.out, name), header, rows)
+        digest = _write_csv(os.path.join(args.out, name), header, columns)
         _write_manifest(args.out, args.command, config, resolved, summary, name, digest)
         print(line)
         return EXIT_OK

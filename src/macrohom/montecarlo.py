@@ -65,6 +65,7 @@ the run manifest.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -150,8 +151,9 @@ class EnsembleStats:
 
 
 def _check_seed(seed: int):
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    # int() would truncate a float seed silently, and SeedSequence refuses it
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def derive_seed(seed: int, index: int) -> int:

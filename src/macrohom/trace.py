@@ -50,9 +50,18 @@ grids the pedestal agrees with exactly rounded sums to about 3e-14
 relative.  Where interpolation would not save evaluations, or q takes a
 single value, F is summed at every q instead.
 
+The default grid is sized by the walk-off, not by the delays: both
+integrands are entire in w of exponential type at most 4 d L (2 d L for
+the interference integrand, and up to 2 d L more from cos(2 w tau) at
+|tau| <= d L), and a Gauss-Legendre rule converges geometrically on
+such functions (Trefethen, *SIAM Review* 50, 67 (2008)).  Eight nodes
+per period of exp(2 i w d L) over the span, 16 x_max / pi for the tail
+cutoff x_max = d L omega_max / 2, give 64 nodes at the reference and at
+most 5104 at any gain the cutoff admits, for every delay grid.
+
 Both kernels form at most _ROW_BLOCK = 64 delay rows at once, offsets of
 the angle addition or values of q, and hold at most 4.25 (64 x node)
-float64 arrays: 136 MiB at the 65 536-node cap.
+float64 arrays: 11 MiB on the largest default grid.
 
 The g2 trace follows from the same variance physics: the total detected
 signal is delay independent, so the cross-correlation dips exactly where
@@ -97,10 +106,8 @@ _ROW_BLOCK = 64
 _CHEB_DEGREE = 16
 _CHEB_TOL = 1e-14
 
-# resource guards, about 40x and 28x the reference sizes (1600 delays per
-# side, 2304 nodes); at the node cap either trace kernel holds at most 136 MiB
+# resource guard, about 40x the reference trace's 1600 delays per side
 _MAX_DELAYS_PER_SIDE = 65536
-_MAX_NODES = 65536
 
 
 @dataclass(frozen=True)
@@ -135,19 +142,13 @@ class Trace:
         return self.tau.size
 
 
-def _nodes_needed(span: float, tau_max: float) -> float:
-    return 8.0 * span * abs(tau_max) / math.pi  # 8 samples per period of exp(2 i w tau)
-
-
-def required_nodes(omega_max: float, tau_max: float) -> int:
-    """Node count resolving exp(2 i w tau) over [0, omega_max], at most _MAX_NODES."""
-    needed = _nodes_needed(omega_max, tau_max)
-    if not (needed <= _MAX_NODES):
-        raise ValidationError(
-            f"resolving delays to |tau| = {tau_max} ps needs {needed:.3g} "
-            f"quadrature nodes, above the cap of {_MAX_NODES}"
-        )
-    return max(2048, int(math.ceil(needed)))
+def required_nodes(span: float, walkoff: float, tau_max: float = 0.0) -> float:
+    """Nodes over ``span`` rad/ps of detuning for 8 samples per period of
+    exp(2 i w T): T is the walk-off d L (ps) when it is > 0, beyond which
+    neither integrand oscillates faster (see the module docstring), and
+    the largest |tau| only at zero walk-off, where the interference sum
+    runs at every delay."""
+    return 8.0 * span * (walkoff if walkoff > 0 else abs(tau_max)) / math.pi
 
 
 def delay_grid(tau_max: float, tau_step: float) -> np.ndarray:
@@ -163,23 +164,23 @@ def delay_grid(tau_max: float, tau_step: float) -> np.ndarray:
     return np.concatenate([-half[:0:-1], half])
 
 
-def default_grid(crystal: CrystalParams, pump: PumpParams, tau_max: float) -> SpectralGrid:
-    """Composite Gauss-Legendre grid sized by the spectral tail cutoff and
-    the oscillation-resolution rule for the largest requested delay."""
+def default_grid(crystal: CrystalParams, pump: PumpParams) -> SpectralGrid:
+    """Composite Gauss-Legendre grid over the spectral tail cutoff with
+    :func:`required_nodes` at the walk-off; it serves every delay grid."""
     omega_max = omega_max_for(crystal, pump)
-    return SpectralGrid.gauss_legendre(omega_max, required_nodes(omega_max, tau_max))
+    dl = crystal.walkoff_slope * crystal.length_mm
+    return SpectralGrid.gauss_legendre(omega_max, math.ceil(required_nodes(omega_max, dl)))
 
 
-def _check_resolution(grid: SpectralGrid, tau):
+def _check_resolution(grid: SpectralGrid, walkoff: float, tau):
     # a single-node grid has no span and nothing to alias
     tau_max = float(np.max(np.abs(tau)))
     span = grid.omega_max - float(grid.omega[0])
-    needed = _nodes_needed(span, tau_max)
+    needed = required_nodes(span, walkoff, tau_max)
     if len(grid) < needed:
         raise ValidationError(
-            f"grid has {len(grid)} nodes but resolving delays to "
-            f"|tau| = {tau_max} ps over a span of {span} rad/ps "
-            f"needs at least {needed:.3g}"
+            f"grid has {len(grid)} nodes but a span of {span} rad/ps at walk-off "
+            f"d L = {walkoff} ps and |tau| <= {tau_max} ps needs at least {needed:.3g}"
         )
 
 
@@ -281,7 +282,8 @@ def nrf_and_pedestal(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: S
         raise ValidationError("tau grid must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(tau)):
         raise ValidationError("delays must be finite")
-    _check_resolution(grid, tau)
+    dl = crystal.walkoff_slope * crystal.length_mm
+    _check_resolution(grid, dl, tau)
 
     if pump.g_peak == 0.0:
         # vacuum in, shot noise out: 0/0 resolved to the physical limit
@@ -304,7 +306,6 @@ def nrf_and_pedestal(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: S
             ped_sum = _pedestal_sums(g_tau * g_tau, x * x, coef)
             # the interference integral is exactly 0 beyond |tau| = d L
             # (Paley-Wiener); at zero walk-off it has no such support
-            dl = crystal.walkoff_slope * crystal.length_mm
             n_in = int(np.searchsorted(abs_tau, dl, side="right")) if dl > 0 else abs_tau.size
             interf = np.zeros(abs_tau.size)
             interf[:n_in] = _interference_sums(abs_tau[:n_in], omega, interf_coef)
@@ -474,7 +475,7 @@ def fwhm_vs_gain(
     rows = []
     for g in g_values:
         pump = replace(pump_template, g_peak=g)
-        grid = default_grid(crystal, pump, tau_max)
+        grid = default_grid(crystal, pump)
         nrf, ped = nrf_and_pedestal(tau, crystal, pump, grid)
         rows.append((g, fwhm_narrow(nrf, ped)))
     return rows

@@ -51,7 +51,7 @@ def crystal():
 def reference_traces(crystal):
     half = np.arange(0.0, 80.0001, 0.05)
     tau = np.concatenate([-half[:0:-1], half])
-    grid = default_grid(crystal, PUMP, 80.0)
+    grid = default_grid(crystal, PUMP)
     nrf, ped = nrf_and_pedestal(tau, crystal, PUMP, grid)
     return tau, grid, nrf, ped
 
@@ -144,7 +144,7 @@ def test_05_mode_counts(reference_traces):
 def test_06_dip_visibility(crystal):
     half = np.arange(0.0, 60.0001, 0.05)
     tau = np.concatenate([-half[:0:-1], half])
-    grid = default_grid(crystal, PUMP, 60.0)
+    grid = default_grid(crystal, PUMP)
     g2 = g2_trace(tau, crystal, PUMP, grid, DetectionModel(m_modes=10))
     vis = visibility(g2)
     in_band = abs(vis - 0.022) <= 0.01
@@ -202,7 +202,7 @@ def test_08_monte_carlo_consistency(crystal):
     # reduced spectral density (48 bins) keeps the full pulse count within
     # the runtime budget; the jittered bins stay unbiased at every delay
     lattice = LatticeSpec.default(crystal, PUMP, n_freq_bins=48)
-    grid = default_grid(crystal, PUMP, max(taus))
+    grid = default_grid(crystal, PUMP)
     reference = detected_trace(nrf_trace(np.array(taus), crystal, PUMP, grid), det)
 
     seed = 20120815
@@ -278,14 +278,19 @@ def test_10_invariant_suites(crystal, reference_traces):
     )
     # the kernel folds tau onto |tau|, so the mirror test above holds by
     # construction; negative delays evaluated one at a time from the
-    # quadrature formula check evenness independently
-    omega = grid.omega
-    u0, v0 = uv_arrays(omega, 0.0, crystal, PUMP)
-    coef = grid.weights * v0 * v0
-    denom = float(np.sum(coef))
-    interf_coef = coef * (u0.real**2 - u0.imag**2)
+    # quadrature formula check evenness independently, each on a grid
+    # with 8 nodes per period of its own cos(2 w tau)
+    from macrohom.gain import omega_max_for
+
+    om = omega_max_for(crystal, PUMP)
     i0 = len(tau) // 2
     for i in i0 - np.unique(np.geomspace(1, i0, 22).astype(int)):
+        own = SpectralGrid.gauss_legendre(om, max(len(grid), math.ceil(8.0 * om * abs(tau[i]) / math.pi)))
+        omega = own.omega
+        u0, v0 = uv_arrays(omega, 0.0, crystal, PUMP)
+        coef = own.weights * v0 * v0
+        denom = float(np.sum(coef))
+        interf_coef = coef * (u0.real**2 - u0.imag**2)
         _, v_t = uv_arrays(omega, float(tau[i]), crystal, PUMP)
         ped_sum = math.fsum(v_t * v_t * coef)
         interf = math.fsum(np.cos(2.0 * tau[i] * omega) * interf_coef)
@@ -294,14 +299,9 @@ def test_10_invariant_suites(crystal, reference_traces):
             asym = max(asym, abs(value - direct) / direct)
     results["evenness"] = asym < 1e-8
 
-    from macrohom.gain import omega_max_for
-    from macrohom.trace import required_nodes
-
     short_tau = np.linspace(-10, 10, 41)
-    om = omega_max_for(crystal, PUMP)
-    n = required_nodes(om, 10.0)
-    t1 = nrf_trace(short_tau, crystal, PUMP, SpectralGrid.gauss_legendre(om, n))
-    t2 = nrf_trace(short_tau, crystal, PUMP, SpectralGrid.gauss_legendre(om, 2 * n))
+    t1 = nrf_trace(short_tau, crystal, PUMP, grid)
+    t2 = nrf_trace(short_tau, crystal, PUMP, SpectralGrid.gauss_legendre(om, 2 * len(grid)))
     doubling = float(np.max(np.abs(t1.value - t2.value) / np.abs(t2.value)))
     results["grid_doubling"] = doubling < 1e-6
 

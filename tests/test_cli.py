@@ -114,7 +114,7 @@ class TestTraceCommand:
         config = RunConfig.load(str(tmp_path / "run.ini"))
         pump, crystal = config.pump(), config.crystal()
         tau = config.tau_grid()
-        grid = default_grid(crystal, pump, float(np.max(np.abs(tau))))
+        grid = default_grid(crystal, pump)
         reference = nrf_trace(tau, crystal, pump, grid)
         _, rows = read_csv(tmp_path / "trace.csv")
         parsed = np.array([row[1] for row in rows])
@@ -154,6 +154,65 @@ class TestHighGain:
 
     def test_g2_runs(self, tmp_path):
         assert run(tmp_path, "g2", "[pump]\ngain = 12\n") == 0
+
+
+class TestWalkoffSizedGrid:
+    """The default grid is sized by the walk-off alone, so low gains and
+    long delay ranges, which the largest delay would size past any node
+    cap, run and agree with a grid of twice the nodes."""
+
+    @pytest.mark.parametrize("command", ["trace", "g2"])
+    @pytest.mark.parametrize("gain", [2.0, 3.0])
+    def test_low_gain_matches_a_doubled_grid(self, tmp_path, command, gain):
+        from macrohom.config import RunConfig
+        from macrohom.gain import omega_max_for
+        from macrohom.params import SpectralGrid
+        from macrohom.trace import default_grid, detected_trace, g2_trace, nrf_and_pedestal
+
+        assert run(tmp_path, command, f"[pump]\ngain = {gain}\n") == 0
+        config = RunConfig.load(str(tmp_path / "run.ini"))
+        pump, crystal, det, tau = config.pump(), config.crystal(), config.detection(), config.tau_grid()
+        doubled = SpectralGrid.gauss_legendre(
+            omega_max_for(crystal, pump), 2 * len(default_grid(crystal, pump))
+        )
+        if command == "trace":
+            nrf, ped = nrf_and_pedestal(tau, crystal, pump, doubled)
+            want = [nrf.value, ped.value, detected_trace(nrf, det).value]
+        else:
+            want = [g2_trace(tau, crystal, pump, doubled, det).value]
+        _, rows = read_csv(tmp_path / f"{command}.csv")
+        got = np.array(rows).T
+        np.testing.assert_array_equal(got[0], tau)
+        for column, values in zip(got[1:], want, strict=True):
+            np.testing.assert_allclose(column, values, rtol=1e-11, atol=0)
+
+    def test_long_delay_range(self, tmp_path):
+        assert run(tmp_path, "g2", "[trace]\ntau_max_ps = 3000\ntau_step_ps = 1.0\n") == 0
+        _, rows = read_csv(tmp_path / "g2.csv")
+        assert len(rows) == 6001 and rows[0][0] == -3000.0
+
+
+class TestWriteCsv:
+    def test_each_value_is_the_repr_of_its_float(self, tmp_path):
+        from macrohom.cli import _write_csv
+
+        edge = [-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300,
+                0.1, 1.0 / 3.0, 2.0**53 + 2.0, 1.7976931348623157e308]
+        ints = [0, -1, 3, 2**53 + 1, 10**20, 7, -5, 1, 2, 12345678901234567, 4]
+        columns = [np.array(edge), ints, tuple(np.float64(x) for x in edge[::-1])]
+        digest = _write_csv(tmp_path / "t.csv", ["a", "b", "c"], columns)
+        lines = ["a,b,c", *(",".join(repr(float(x)) for x in row) for row in zip(*columns))]
+        data = (tmp_path / "t.csv").read_bytes()
+        assert data == "".join(line + "\n" for line in lines).encode("utf-8")
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert data.splitlines()[1] == b"-0.0,0.0,1.7976931348623157e+308"
+
+    def test_header_only(self, tmp_path):
+        from macrohom.cli import _write_csv
+
+        digest = _write_csv(tmp_path / "t.csv", ["x", "y"], [[], []])
+        assert (tmp_path / "t.csv").read_bytes() == b"x,y\n"
+        assert digest == hashlib.sha256(b"x,y\n").hexdigest()
 
 
 class TestSweepGainCommand:
@@ -404,7 +463,6 @@ class TestNonFiniteInputs:
             ("trace", "[trace]\ntau_max_ps = 1e300\n", "points per side"),
             ("sweep-gain", "[sweep]\ntau_max_ps = 1e300\n", "points per side"),
             ("trace", "[trace]\ntau_step_ps = 1e-300\n", "points per side"),
-            ("g2", "[trace]\ntau_max_ps = 3000\ntau_step_ps = 1.0\n", "quadrature nodes"),
             ("calibrate", "[crystal]\ncalibration_fwhm_nm = inf\n", "must be finite"),
             ("mc --seed -1", "[detection]\npulses = 4\n", "seed must be a non-negative"),
             ("mc", "[detection]\npulses = 4\n[mc]\nseed = -5\n", "unknown key 'seed'"),
@@ -658,16 +716,21 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == ["run.ini"]
 
     @pytest.mark.parametrize("command", ["trace", "g2"])
-    @pytest.mark.parametrize("gain, code", [("70", 0), ("100", 3)])
-    def test_rounding_floor_inside_walkoff_maps_to_3(self, tmp_path, capsys, command, gain, code):
+    @pytest.mark.parametrize(
+        "gain, code, named",
+        [("70", 0, None), ("85", 3, "interference sum's rounding floor"), ("100", 3, "interference sum's rounding")],
+    )
+    def test_rounding_floor_inside_walkoff_maps_to_3(self, tmp_path, capsys, command, gain, code, named):
         # the interference sum's rounding floor is 2.4e-8 of the smallest
-        # nrf inside d L at gain 70 and 0.47 of it at gain 100, where the
-        # trace stays above shot noise but is wrong near d L
+        # nrf inside d L at gain 70 and 7.8e-5 of it at gain 85, where the
+        # trace stays above shot noise but is wrong near d L, so the floor
+        # check alone refuses it; at gain 100 the rounding also drives nrf
+        # below shot noise, which is refused first
         assert run(tmp_path, command, f"[pump]\ngain = {gain}\n") == code
         err = capsys.readouterr().err.splitlines()
         if code:
             assert len(err) == 1
-            assert "interference sum's rounding floor" in err[0] and "at gain 100.0" in err[0]
+            assert named in err[0] and f"at gain {float(gain)}" in err[0]
             assert os.listdir(tmp_path) == ["run.ini"]
         else:
             assert err == []

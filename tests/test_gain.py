@@ -446,7 +446,7 @@ def test_import_boundary_leaves_numpy_polynomial_to_the_kernels():
         "from macrohom.params import CrystalParams, PumpParams\n"
         "from macrohom.trace import default_grid, delay_grid, nrf_and_pedestal\n"
         "crystal, pump = CrystalParams(), PumpParams()\n"
-        "nrf_and_pedestal(delay_grid(3.0, 0.1), crystal, pump, default_grid(crystal, pump, 3.0))\n"
+        "nrf_and_pedestal(delay_grid(3.0, 0.1), crystal, pump, default_grid(crystal, pump))\n"
         "print('numpy.polynomial.chebyshev' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=src)

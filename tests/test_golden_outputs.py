@@ -13,11 +13,13 @@ A change that alters an output on purpose regenerates the file with
 
     PYTHONPATH=src python3 tests/test_golden_outputs.py
 
-and lists each changed hash and the largest relative change.
+which prints, for each command, the recorded and the new sha256 and
+the largest relative change over the recorded sample rows.
 """
 
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -113,7 +115,22 @@ def sampled(n):
     return sorted(set(range(0, n, max(1, n // SAMPLED_ROWS))) | {n - 1})
 
 
+def largest_change(old_sample, rows):
+    """Largest relative change of ``rows`` from the recorded sample rows;
+    inf where a recorded 0 is no longer 0."""
+    worst = 0.0
+    for i, values in old_sample:
+        for want, got in zip(values, rows[i]):
+            if got != want:
+                worst = max(worst, abs(got - want) / abs(want) if want else math.inf)
+    return worst
+
+
 def regenerate():
+    old = {}
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN, encoding="utf-8") as fh:
+            old = json.load(fh)["runs"]
     record = {"environment": environment(), "runs": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for command in RUNS:
@@ -128,6 +145,12 @@ def regenerate():
                 "sample": [[i, rows[i]] for i in sampled(len(rows))],
                 "manifest": blocks,
             }
+            if command in old and old[command]["rows"] == len(rows):
+                change = f"{largest_change(old[command]['sample'], rows):.3g}"
+            else:
+                change = "not comparable (new or resized table)"
+            print(f"{command}: sha256 {old.get(command, {}).get('sha256')} -> {digest}; "
+                  f"largest relative change over the sample rows {change}")
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

@@ -78,7 +78,7 @@ class TestSimulateEnsemble:
     def test_peak_matches_quadrature(self, crystal, lattice):
         det = small_det(n_pulses=4000, m=10)
         st = simulate_ensemble(crystal, PUMP, det, lattice, 0.0, seed=21)
-        grid = default_grid(crystal, PUMP, 1.0)
+        grid = default_grid(crystal, PUMP)
         q = detected_trace(nrf_trace(np.array([0.0]), crystal, PUMP, grid), det)
         assert abs(st.nrf_hat - q.value[0]) < 3.0 * st.se_nrf
 
@@ -117,6 +117,22 @@ class TestSimulateEnsemble:
             simulate_ensemble(crystal, PUMP, det, lattice, 0.0, seed=-1)
         with pytest.raises(ValidationError, match=message):
             derive_seed(-1, 0)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "7", None, np.float64(3.0)])
+    def test_non_integer_seed_rejected(self, crystal, lattice, seed):
+        det = small_det(n_pulses=200)
+        message = "seed must be a non-negative integer, got "
+        with pytest.raises(ValidationError, match=message):
+            simulate_ensemble(crystal, PUMP, det, lattice, 0.0, seed=seed)
+        with pytest.raises(ValidationError, match=message):
+            derive_seed(seed, 0)
+
+    def test_numpy_integer_seed_equals_int(self, crystal, lattice):
+        det = small_det(n_pulses=200)
+        a = simulate_ensemble(crystal, PUMP, det, lattice, 0.0, seed=np.int64(5))
+        b = simulate_ensemble(crystal, PUMP, det, lattice, 0.0, seed=5)
+        assert a == b
+        assert derive_seed(np.uint64(5), 2) == derive_seed(5, 2)
 
     def test_loss_affine_law(self, crystal, lattice):
         # the exact moments obey the affine map identically; the sampled

@@ -44,7 +44,7 @@ def crystal():
 def reference_traces(crystal):
     half = np.arange(0.0, 100.0001, 0.05)
     tau = np.concatenate([-half[:0:-1], half])
-    grid = default_grid(crystal, PUMP, 100.0)
+    grid = default_grid(crystal, PUMP)
     nrf = nrf_trace(tau, crystal, PUMP, grid)
     ped = pedestal_trace(tau, crystal, PUMP, grid)
     return tau, grid, nrf, ped
@@ -118,9 +118,12 @@ class TestNrfTrace:
         np.testing.assert_array_equal(trace.value, 1.0)
 
     def test_grid_resolution_guard(self, crystal):
-        grid = SpectralGrid.gauss_legendre(10.0, 64)
-        with pytest.raises(ValidationError, match="grid has"):
-            nrf_trace(np.array([-60.0, 0.0, 60.0]), crystal, PUMP, grid)
+        # 8 nodes per period of exp(2 i w d L) over the nodes' span of
+        # 9.89 rad/ps take 50.1 nodes at d L = 1.99 ps, whatever the delays
+        grid = SpectralGrid.gauss_legendre(10.0, 16)
+        for tau in ([0.0], [-60.0, 0.0, 60.0]):
+            with pytest.raises(ValidationError, match="grid has 16 nodes .* needs at least 50.1$"):
+                nrf_trace(np.array(tau), crystal, PUMP, grid)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_delay_rejected_before_the_kernel(self, crystal, monkeypatch, bad):
@@ -133,8 +136,10 @@ class TestNrfTrace:
             nrf_trace([0.0, bad], crystal, PUMP, grid)
         assert calls == []
 
-    def test_unresolvable_finite_delay_is_a_validation_error(self, crystal):
-        # the nodes needed overflow to inf: the message must still format
+    def test_unresolvable_finite_delay_is_a_validation_error(self):
+        # at zero walk-off the nodes are sized by the largest delay, and
+        # here they overflow to inf: the message must still format
+        crystal = CrystalParams(length_mm=10.0, walkoff_slope=0.0)
         grid = SpectralGrid.gauss_legendre(10.0, 64)
         with pytest.raises(ValidationError, match="needs at least inf"):
             nrf_trace([0.0, 1e308], crystal, PUMP, grid)
@@ -157,16 +162,13 @@ class TestNrfTrace:
         assert_nrf_matches_direct(tau[idx], crystal, nrf.value[idx], ped.value[idx], nrf_direct)
 
     def test_quadrature_grid_doubling(self, crystal):
-        from macrohom.gain import omega_max_for
-        from macrohom.trace import required_nodes
-
         half = np.arange(0.0, 12.001, 0.5)
         tau = np.concatenate([-half[:0:-1], half])
-        om = omega_max_for(crystal, PUMP)
-        n = required_nodes(om, 12.0)
-        t1 = nrf_trace(tau, crystal, PUMP, SpectralGrid.gauss_legendre(om, n))
-        t2 = nrf_trace(tau, crystal, PUMP, SpectralGrid.gauss_legendre(om, 2 * n))
-        assert np.max(np.abs(t1.value - t2.value) / np.abs(t2.value)) < 1e-6
+        grid = default_grid(crystal, PUMP)
+        doubled = SpectralGrid.gauss_legendre(omega_max_for(crystal, PUMP), 2 * len(grid))
+        t1 = nrf_trace(tau, crystal, PUMP, grid)
+        t2 = nrf_trace(tau, crystal, PUMP, doubled)
+        assert np.max(np.abs(t1.value - t2.value) / np.abs(t2.value)) < 1e-11
 
     @pytest.mark.parametrize("g", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("phi", [0.0, math.pi / 4.0, math.pi / 2.0])
@@ -248,7 +250,7 @@ class TestDetectedTrace:
 
 class TestG2Trace:
     def test_edge_single_mode(self, crystal):
-        grid = default_grid(crystal, PUMP, 60.0)
+        grid = default_grid(crystal, PUMP)
         det = DetectionModel(m_modes=1)
         trace = g2_trace(np.array([-60.0, 0.0, 60.0][::1]), crystal, PUMP, grid, det)
         n_mode = math.sinh(7.5) ** 2
@@ -256,7 +258,7 @@ class TestG2Trace:
         assert trace.value[0] == pytest.approx(2.00000122, abs=1e-6)
 
     def test_multimode_edge(self, crystal):
-        grid = default_grid(crystal, PUMP, 60.0)
+        grid = default_grid(crystal, PUMP)
         trace = g2_trace(np.array([-60.0, 0.0, 60.0]), crystal, PUMP, grid, DetectionModel())
         n_mode = math.sinh(7.5) ** 2
         expected = 1.0 + (1.0 + 1.0 / n_mode) / 10.0
@@ -266,7 +268,7 @@ class TestG2Trace:
     def test_dip_visibility(self, crystal):
         half = np.arange(0.0, 60.0001, 0.05)
         tau = np.concatenate([-half[:0:-1], half])
-        grid = default_grid(crystal, PUMP, 60.0)
+        grid = default_grid(crystal, PUMP)
         trace = g2_trace(tau, crystal, PUMP, grid, DetectionModel())
         assert visibility(trace) == pytest.approx(0.022, abs=0.01)
 
@@ -276,7 +278,7 @@ class TestG2Trace:
         # grid twice (as the trace machinery does per call) is exact
         from macrohom.gain import uv_arrays
 
-        grid = default_grid(crystal, PUMP, 10.0)
+        grid = default_grid(crystal, PUMP)
         _, v0 = uv_arrays(grid.omega, 0.0, crystal, PUMP)
         flux_a = float(np.sum(grid.weights * v0**2))
         _, v0b = uv_arrays(grid.omega, 0.0, crystal, PUMP)
@@ -337,7 +339,7 @@ class TestFwhm:
         # linear interpolation of the crossings overstates the narrow width
         # at G = 7.5: the sweep's 0.02 ps and the trace's 0.05 ps steps
         # against a 0.001 ps grid on the same nodes
-        grid = default_grid(crystal, PUMP, 6.0)
+        grid = default_grid(crystal, PUMP)
 
         def width(step):
             return fwhm_narrow(*nrf_and_pedestal(delay_grid(6.0, step), crystal, PUMP, grid))
@@ -439,7 +441,7 @@ class TestModeCounts:
             pump = PumpParams(g_peak=7.5, t_p=t_p)
             half = np.arange(0.0, 80.0001, 0.05)
             tau = np.concatenate([-half[:0:-1], half])
-            grid = default_grid(crystal, pump, 80.0)
+            grid = default_grid(crystal, pump)
             nrf = nrf_trace(tau, crystal, pump, grid)
             ped = pedestal_trace(tau, crystal, pump, grid)
             counts.append(mode_count_long(nrf, ped))
@@ -459,7 +461,7 @@ class TestFwhmVsGain:
         rows = fwhm_vs_gain([7.5], crystal, PUMP)
         half = np.arange(0.0, 6.0001, 0.02)
         tau = np.concatenate([-half[:0:-1], half])
-        grid = default_grid(crystal, PUMP, 6.0)
+        grid = default_grid(crystal, PUMP)
         nrf = nrf_trace(tau, crystal, PUMP, grid)
         ped = pedestal_trace(tau, crystal, PUMP, grid)
         assert rows[0][1] == pytest.approx(fwhm_narrow(nrf, ped), rel=1e-12)
@@ -478,7 +480,7 @@ class TestFwhmVsGain:
         ((_, width),) = fwhm_vs_gain([g], crystal, PUMP)
         pump = replace(PUMP, g_peak=g)
         tau = delay_grid(6.0, 0.02)
-        grid = default_grid(crystal, pump, 6.0)
+        grid = default_grid(crystal, pump)
         nrf_direct, ped_direct = direct_values(tau, crystal, pump, grid)
         direct_width = _fwhm(tau, nrf_direct - ped_direct, "narrow")
         assert direct_width == pytest.approx(width, rel=1e-9)
@@ -494,7 +496,7 @@ class TestOnePassKernel:
         pump = PumpParams(g_peak=g, t_p=18.0)
         half = np.arange(0.0, tau_max + tau_step / 2.0, tau_step)
         tau = np.concatenate([-half[:0:-1], half])
-        grid = default_grid(crystal, pump, tau_max)
+        grid = default_grid(crystal, pump)
         nrf, ped = nrf_and_pedestal(tau, crystal, pump, grid)
         assert (nrf.kind, ped.kind) == ("nrf_ideal", "nrf_pedestal")
         np.testing.assert_array_equal(nrf.value, nrf_trace(tau, crystal, pump, grid).value)
@@ -507,7 +509,7 @@ class TestDelayFold:
     TAU = np.array([-3.0, -1.0, 0.0, 1.0, 2.5, 3.0])  # mixed sign, |tau| unsorted, repeated
 
     def test_repeated_abs_delays_and_direct_evaluation(self, crystal):
-        grid = default_grid(crystal, PUMP, 3.0)
+        grid = default_grid(crystal, PUMP)
         nrf, ped = nrf_and_pedestal(self.TAU, crystal, PUMP, grid)
         for trace in (nrf, ped):
             assert trace.value[0] == trace.value[5]
@@ -520,11 +522,18 @@ class TestDelayFold:
     def test_one_sided_grid_equals_nonnegative_half(self, crystal, tau_max, tau_step):
         tau = delay_grid(tau_max, tau_step)
         half = tau[tau >= 0]
-        grid = default_grid(crystal, PUMP, tau_max)
+        grid = default_grid(crystal, PUMP)
         full = nrf_and_pedestal(tau, crystal, PUMP, grid)
         one_sided = nrf_and_pedestal(half, crystal, PUMP, grid)
         for whole, part in zip(full, one_sided):
             np.testing.assert_array_equal(part.value, whole.value[tau >= 0])
+
+
+def delay_nodes(omega_max, tau):
+    """At least 2048 nodes, and 8 per period of cos(2 w tau) over
+    [0, omega_max]: a grid that resolves the cosine at ``tau`` itself,
+    not only the walk-off that sizes the default grid."""
+    return max(2048, math.ceil(8.0 * omega_max * tau / math.pi))
 
 
 def interference_sum(g, crystal, omega_max, n, tau):
@@ -556,7 +565,7 @@ class TestInterferenceSupport:
         crystal = calibrate_walkoff(1.3, pump)
         assert tau > crystal.walkoff_slope * crystal.length_mm
         om = omega_max_for(crystal, pump)
-        n = required_nodes(om, tau)
+        n = delay_nodes(om, tau)
         cut = interference_sum(g, crystal, om, n, tau)
         wide = interference_sum(g, crystal, 4.0 * om, 4 * n, tau)
         assert 10.0 * abs(wide) <= abs(cut) < 1e-6
@@ -567,7 +576,7 @@ class TestInterferenceSupport:
         crystal = calibrate_walkoff(1.3, pump)
         tau = 0.5 * crystal.walkoff_slope * crystal.length_mm
         om = omega_max_for(crystal, pump)
-        n = required_nodes(om, tau)
+        n = delay_nodes(om, tau)
         cut = interference_sum(g, crystal, om, n, tau)
         wide = interference_sum(g, crystal, 4.0 * om, 4 * n, tau)
         assert abs(cut) > 0.1 and cut == pytest.approx(wide, rel=1e-3)
@@ -589,7 +598,7 @@ class TestInterferenceSums:
     )
     def test_within_eight_eps_of_exact_rows(self, crystal, g, n, span, oversampling, lattice, seed):
         # n delays spanning up to 3 d L, on a node grid that resolves them
-        # (the resolution rule of required_nodes) up to 4 times over: the
+        # (8 nodes per period of cos(2 w tau)) up to 4 times over: the
         # lattice i D, or n sorted delays drawn uniformly off it
         tau_max = span * crystal.walkoff_slope * crystal.length_mm
         if lattice:
@@ -609,7 +618,7 @@ class TestInterferenceSums:
 
     def test_nudged_delay_agrees_with_the_lattice(self, crystal):
         tau = delay_grid(6.0, 0.02)
-        grid = default_grid(crystal, PUMP, 6.0)
+        grid = default_grid(crystal, PUMP)
         nrf, ped = nrf_and_pedestal(tau, crystal, PUMP, grid)
         # one interior delay inside d L = 1.99 ps moved up by one ulp takes
         # the delays off the lattice
@@ -630,9 +639,10 @@ class TestInterferenceSums:
         ],
         ids=["lattice", "off-lattice", "pedestal"],
     )
-    def test_memory_at_the_node_cap(self, kernel, values, rows):
-        # either kernel holds at most 4.25 (rows x node) arrays and a few
-        # node-sized rows: 4000 lattice delays take the largest block, 64,
+    def test_memory_per_row_block(self, kernel, values, rows):
+        # at 65 536 nodes, 13 times the largest default grid, either kernel
+        # holds at most 4.25 (rows x node) arrays and a few node-sized
+        # rows: 4000 lattice delays take the largest block, 64,
         # a set off the lattice takes blocks of one, and 256 values of q
         # run in four chunks of 64 (the pedestal reads the node row as x^2)
         nodes = 65536
@@ -668,14 +678,54 @@ class TestDelayGrid:
 
 class TestRequiredNodes:
     def test_reference_grid_size(self, crystal):
-        assert len(default_grid(crystal, PUMP, 80.0)) == 2304
+        assert len(default_grid(crystal, PUMP)) == 64
 
-    @pytest.mark.parametrize("tau_max", [1e9, math.inf, math.nan])
-    def test_cap(self, crystal, tau_max):
-        from macrohom.gain import omega_max_for
+    def test_bound_at_every_admissible_gain(self, crystal):
+        # omega_max d L = 2 x_max, and the tail cutoff keeps x_max below
+        # about 1000, so no default grid passes 16 x 1000 / pi nodes
+        # rounded up to whole 16-node panels, at any delays
+        sizes = [len(default_grid(crystal, replace(PUMP, g_peak=float(g))))
+                 for g in np.geomspace(1e-6, 355.5, 200)]
+        assert max(sizes) == 5104
 
-        with pytest.raises(ValidationError, match="quadrature nodes"):
-            required_nodes(omega_max_for(crystal, PUMP), tau_max)
+    def test_walkoff_rule_and_zero_walkoff_fallback(self):
+        # 8 nodes per period of exp(2 i w T) over the span: T = d L when
+        # it is > 0, else the largest |tau|
+        assert required_nodes(math.pi, 2.0, 80.0) == pytest.approx(16.0, rel=1e-15)
+        assert required_nodes(math.pi, 0.0, -80.0) == pytest.approx(640.0, rel=1e-15)
+        assert required_nodes(math.pi, 0.0) == 0.0
+
+
+class TestDefaultGridConvergence:
+    """Both integrands are entire in w of exponential type at most 4 d L,
+    and Gauss-Legendre sums converge geometrically on such functions: on
+    the default grid, 8 nodes per period of exp(2 i w d L), they have
+    converged, and doubling the nodes over the same cutoff moves nrf and
+    the pedestal only by rounding, at any delay.  The draws keep d L at
+    most 0.3 of the pulse width, as at the reference (0.11): a longer
+    walk-off against a shorter pulse at high gain leaves nrf inside d L
+    dominated by the interference sum's rounding, which no node count
+    changes and ``nrf_and_pedestal`` refuses past 1e-6."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        g=st.floats(0.05, 60.0),
+        length=st.floats(5.0, 15.0),
+        slope=st.floats(0.1, 0.3),
+        t_p=st.floats(15.0, 30.0),
+    )
+    def test_doubling_moves_nothing(self, g, length, slope, t_p):
+        crystal = CrystalParams(length_mm=length, walkoff_slope=slope)
+        pump = PumpParams(g_peak=g, t_p=t_p)
+        dl = slope * length
+        # a lattice to beyond d L, and the pedestal's decay over the pulse
+        tau = np.unique(np.concatenate([np.linspace(-1.5 * dl, 1.5 * dl, 61),
+                                        np.linspace(-4.0 * t_p, 4.0 * t_p, 81)]))
+        grid = default_grid(crystal, pump)
+        doubled = SpectralGrid.gauss_legendre(omega_max_for(crystal, pump), 2 * len(grid))
+        for coarse, fine in zip(nrf_and_pedestal(tau, crystal, pump, grid),
+                                nrf_and_pedestal(tau, crystal, pump, doubled)):
+            assert np.max(np.abs(coarse.value - fine.value) / fine.value) <= 1e-11
 
 
 class TestTraceType:
@@ -709,7 +759,7 @@ def assert_pedestal_matches_direct(g, tau, check_nrf=True):
     pump = PumpParams(g_peak=g, t_p=18.0)
     crystal = calibrate_walkoff(1.3, pump)
     tau = np.asarray(tau, dtype=float)
-    grid = default_grid(crystal, pump, float(np.max(np.abs(tau))) or 1.0)
+    grid = default_grid(crystal, pump)
     nrf, ped = nrf_and_pedestal(tau, crystal, pump, grid)
     nrf_direct, ped_direct = direct_values(tau, crystal, pump, grid)
     np.testing.assert_allclose(ped.value, ped_direct, rtol=1e-11, atol=0)
@@ -722,8 +772,8 @@ class TestPedestalInterpolation:
 
     @pytest.mark.parametrize("g", [0.5, 7.5, 11.0])
     def test_calibrated_crystal_at_each_gain(self, g):
-        # at G = 0.5 a 12 ps delay range takes about 51 000 nodes, near the
-        # cap of 65 536
+        # at G = 0.5 the tail cutoff x_max is about 960, so the default
+        # grid takes 4896 nodes, near the largest any gain gives
         assert_pedestal_matches_direct(g, half_grid(12.0, 0.1))
 
     @pytest.mark.parametrize("g", [7.5, 11.0])
@@ -769,7 +819,7 @@ class TestPedestalInterpolation:
 
         monkeypatch.setattr(trace_module, "_pedestal_factor", counting)
         tau = delay_grid(80.0, 0.05)
-        nrf_and_pedestal(tau, crystal, PUMP, default_grid(crystal, PUMP, 80.0))
+        nrf_and_pedestal(tau, crystal, PUMP, default_grid(crystal, PUMP))
         assert sum(evaluated) <= 65 < np.unique(np.abs(tau)).size
 
     def test_every_gain_underflowed(self):
@@ -780,5 +830,5 @@ class TestPedestalInterpolation:
         assert np.all(gain_at(tau, pump) == 0.0)
         assert_pedestal_matches_direct(7.5, tau)
         crystal = calibrate_walkoff(1.3, pump)
-        _, ped = nrf_and_pedestal(tau, crystal, pump, default_grid(crystal, pump, 550.0))
+        _, ped = nrf_and_pedestal(tau, crystal, pump, default_grid(crystal, pump))
         np.testing.assert_array_equal(ped.value, 1.0)
