@@ -29,13 +29,8 @@ sum there would return only the truncation residue of the spectral tail
 cutoff.  At zero walk-off the integrand is constant in w, not
 integrable, and the theorem says nothing: the sum runs at every delay.
 
-The cosines come from angle addition over blocks of delays, each row
-cos_a cos_b - sin_a sin_b formed elementwise and summed pairwise.  Where
-the distinct |tau| inside d L are the lattice i D that ``delay_grid``
-builds, as on every ``trace``, ``g2`` and ``sweep-gain`` run, i = a B + b
-with B ~ sqrt(n), and cos and sin are evaluated only at the anchors a B D
-and the offsets b D.  Any other delay set takes blocks of one delay,
-whose offset is 0.
+Both kernels share one row rule: blocks of at most _ROW_BLOCK rows,
+each row scaled by its weights in place and summed pairwise.
 
 The pedestal integral depends on tau only through q = G(tau)^2:
 
@@ -59,9 +54,10 @@ per period of exp(2 i w d L) over the span, 16 x_max / pi for the tail
 cutoff x_max = d L omega_max / 2, give 64 nodes at the reference and at
 most 5104 at any gain the cutoff admits, for every delay grid.
 
-Both kernels form at most _ROW_BLOCK = 64 delay rows at once, offsets of
-the angle addition or values of q, and hold at most 4.25 (64 x node)
-float64 arrays: 11 MiB on the largest default grid.
+Both kernels form at most _ROW_BLOCK = 64 rows at once, delays or
+values of q: the interference sums hold one (64 x node) float64 array,
+2.5 MiB on the largest default grid (5104 nodes), and the pedestal sums
+about four, 10 MiB.
 
 The g2 trace follows from the same variance physics: the total detected
 signal is delay independent, so the cross-correlation dips exactly where
@@ -97,7 +93,8 @@ TRACE_KINDS = ("nrf_ideal", "nrf_detected", "nrf_pedestal", "g2")
 # lower bound: difference-signal variance never falls below shot noise here
 _NRF_FLOOR = 1.0 - 1e-6
 
-# most delay rows either trace kernel forms at once (see the module docstring)
+# most rows, delays or values of q, that either trace kernel forms at once
+# (see the module docstring)
 _ROW_BLOCK = 64
 
 # pedestal interpolant in log F: starting degree, and the size of the
@@ -184,14 +181,29 @@ def _check_resolution(grid: SpectralGrid, walkoff: float, tau):
         )
 
 
-def _pedestal_factor(q, x2, coef):
-    """F(q) = sum_w coef S(q - x^2)^2 at each gain squared q, _ROW_BLOCK
-    values of q at a time; the pedestal sum at q = G^2 is q F(q)."""
-    out = np.empty(q.size)
-    for lo in range(0, q.size, _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        out[rows] = np.square(_sinc_branch(q[rows, None] - x2)) @ coef
+def _row_sums(row, values, coef):
+    """sum_w coef row(v) at each v of ``values``.  ``row`` maps a block of
+    at most _ROW_BLOCK values to a new (block x node) array; each block is
+    scaled by coef in place, summed pairwise along the nodes (within
+    8 eps sum|terms| of exactly rounded sums) and released before the
+    next is formed."""
+    out = np.empty(values.size)
+    for lo in range(0, values.size, _ROW_BLOCK):
+        rows = row(values[lo : lo + _ROW_BLOCK])
+        np.add.reduce(np.multiply(rows, coef, out=rows), axis=1, out=out[lo : lo + _ROW_BLOCK])
+        del rows
     return out
+
+
+def _pedestal_factor(q, x2, coef):
+    """F(q) = sum_w coef S(q - x^2)^2 at each gain squared q; the pedestal
+    sum at q = G^2 is q F(q)."""
+
+    def squares(q_block):
+        rows = _sinc_branch(q_block[:, None] - x2)
+        return np.square(rows, out=rows)
+
+    return _row_sums(squares, q, coef)
 
 
 def _pedestal_sums(q, x2, coef):
@@ -236,34 +248,13 @@ def _pedestal_sums(q, x2, coef):
 
 
 def _interference_sums(abs_tau, omega, coef):
-    """sum_w coef cos(2 w tau_i) at each tau_i of the sorted, distinct
-    ``abs_tau`` by angle addition over blocks of B delays.  With
-    i = a B + b and the offsets d_b = tau_b - tau_0,
+    """sum_w coef cos(2 w tau) at each tau of ``abs_tau``."""
 
-        cos(2 w tau_i) = cos(2 w tau_aB) cos(2 w d_b) - sin(2 w tau_aB) sin(2 w d_b),
+    def cosines(tau_block):
+        rows = np.multiply.outer(2.0 * tau_block, omega)
+        return np.cos(rows, out=rows)
 
-    which holds on the lattice tau_i = i tau_1 that ``delay_grid`` builds
-    (tau_0 = 0, so d_b = tau_b).  There B ~ sqrt(n), at most
-    _ROW_BLOCK, and cos and sin run only at the n/B anchors and the B
-    offsets: about 4 sqrt(n) trig rows in place of n cosine rows, with no
-    recurrence to accumulate error.  Any other set takes B = 1: each delay
-    is its own anchor, its offset is 0, and its row is the plain cosine
-    row.  Each anchor's B rows are formed elementwise and summed pairwise,
-    within 8 eps sum|coef| of exactly rounded sums.
-    """
-    n = abs_tau.size
-    lattice = n >= 2 and np.array_equal(abs_tau, np.arange(n) * abs_tau[1])
-    b = min(math.isqrt(n - 1) + 1, _ROW_BLOCK) if lattice else 1
-    phase = np.multiply.outer(2.0 * (abs_tau[:b] - abs_tau[:1]), omega)
-    cos_b, sin_b = np.cos(phase), np.sin(phase, out=phase)
-    cos_prod, sin_prod = np.empty((2, b, omega.size))
-    out = np.empty((-(-n // b), b))
-    for row, tau_a in zip(out, abs_tau[::b]):
-        phase = 2.0 * tau_a * omega
-        np.multiply(cos_b, np.cos(phase) * coef, out=cos_prod)
-        np.multiply(sin_b, np.sin(phase) * coef, out=sin_prod)
-        np.add.reduce(np.subtract(cos_prod, sin_prod, out=cos_prod), axis=1, out=row)
-    return out.ravel()[:n]
+    return _row_sums(cosines, abs_tau, coef)
 
 
 def nrf_and_pedestal(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: SpectralGrid):

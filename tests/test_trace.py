@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from macrohom.errors import NumericalError, ValidationError
 from macrohom.fock import hom_stats, tmsv
-from macrohom.gain import calibrate_walkoff, gain_at, omega_max_for, uv_arrays
+from macrohom.gain import (
+    _half_angle,
+    _sinc_branch,
+    calibrate_walkoff,
+    gain_at,
+    omega_max_for,
+    uv_arrays,
+)
 from macrohom.params import CrystalParams, DetectionModel, PumpParams, SpectralGrid
 from macrohom.trace import (
     Trace,
@@ -582,11 +589,11 @@ class TestInterferenceSupport:
         assert abs(cut) > 0.1 and cut == pytest.approx(wide, rel=1e-3)
 
 
-class TestInterferenceSums:
-    """Angle addition over blocks of about sqrt(n) delays on the lattice
-    i D that delay_grid builds, and over one-delay blocks on any other
-    sorted, distinct set."""
+class TestRowSums:
+    """Both kernels sum blocks of at most 64 rows pairwise: the
+    interference rows cos(2 w tau) and the pedestal rows S(q - x^2)^2."""
 
+    @pytest.mark.parametrize("kernel", [_interference_sums, _pedestal_factor])
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
         g=st.floats(0.1, 50.0),
@@ -596,55 +603,50 @@ class TestInterferenceSums:
         lattice=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_within_eight_eps_of_exact_rows(self, crystal, g, n, span, oversampling, lattice, seed):
+    def test_within_eight_eps_of_exact_rows(
+        self, crystal, kernel, g, n, span, oversampling, lattice, seed
+    ):
         # n delays spanning up to 3 d L, on a node grid that resolves them
         # (8 nodes per period of cos(2 w tau)) up to 4 times over: the
-        # lattice i D, or n sorted delays drawn uniformly off it
+        # lattice i D that delay_grid builds, or n sorted delays drawn
+        # uniformly; the pedestal rows take q = G(tau)^2 at those delays
         tau_max = span * crystal.walkoff_slope * crystal.length_mm
         if lattice:
             abs_tau = np.arange(n) * (tau_max / (n - 1))
         else:
             abs_tau = np.unique(np.random.default_rng(seed).uniform(0.0, tau_max, n))
-            assert not np.array_equal(abs_tau, np.arange(abs_tau.size) * abs_tau[1])
         pump = PumpParams(g_peak=g, t_p=18.0)
         omega_max = omega_max_for(crystal, pump)
         nodes = int(oversampling * 8.0 * omega_max * abs_tau[-1] / math.pi) + 16
         grid = SpectralGrid.gauss_legendre(omega_max, nodes)
         u0, v0 = uv_arrays(grid.omega, 0.0, crystal, pump)
-        coef = grid.weights * v0 * v0 * (u0.real**2 - u0.imag**2)
-        exact = [math.fsum(np.cos(2.0 * t * grid.omega) * coef) for t in abs_tau]
-        got = _interference_sums(abs_tau, grid.omega, coef)
-        assert np.max(np.abs(got - exact)) <= 8.0 * np.finfo(float).eps * math.fsum(np.abs(coef))
-
-    def test_nudged_delay_agrees_with_the_lattice(self, crystal):
-        tau = delay_grid(6.0, 0.02)
-        grid = default_grid(crystal, PUMP)
-        nrf, ped = nrf_and_pedestal(tau, crystal, PUMP, grid)
-        # one interior delay inside d L = 1.99 ps moved up by one ulp takes
-        # the delays off the lattice
-        i = int(np.searchsorted(tau, 1.0))
-        nudged = tau.copy()
-        nudged[i] = np.nextafter(tau[i], 2.0)
-        nrf_n, ped_n = nrf_and_pedestal(nudged, crystal, PUMP, grid)
-        shared = np.arange(tau.size) != i
-        np.testing.assert_allclose(nrf_n.value[shared], nrf.value[shared], rtol=1e-13, atol=0)
-        np.testing.assert_allclose(ped_n.value[shared], ped.value[shared], rtol=1e-13, atol=0)
+        if kernel is _interference_sums:
+            coef = grid.weights * v0 * v0 * (u0.real**2 - u0.imag**2)
+            values, node_row = abs_tau, grid.omega
+            terms = [np.cos(2.0 * t * grid.omega) * coef for t in abs_tau]
+        else:
+            coef = grid.weights * v0 * v0
+            values, node_row = gain_at(abs_tau, pump) ** 2, _half_angle(grid.omega, crystal) ** 2
+            terms = [np.square(_sinc_branch(q - node_row)) * coef for q in values]
+        got = kernel(values, node_row, coef)
+        bound = 8.0 * np.finfo(float).eps * np.array([math.fsum(np.abs(t)) for t in terms])
+        assert np.all(np.abs(got - [math.fsum(t) for t in terms]) <= bound)
 
     @pytest.mark.parametrize(
-        "kernel, values, rows",
+        "kernel, values, arrays",
         [
-            (_interference_sums, np.arange(4000) * 5e-4, 64),
-            (_interference_sums, np.arange(1, 257) * 5e-4, 1),
-            (_pedestal_factor, np.linspace(0.0, 60.0, 256), 64),
+            (_interference_sums, np.arange(4000) * 5e-4, 1.25),
+            (_interference_sums, np.arange(1, 257) * 5e-4, 1.25),
+            (_pedestal_factor, np.linspace(0.0, 60.0, 256), 4.25),
         ],
         ids=["lattice", "off-lattice", "pedestal"],
     )
-    def test_memory_per_row_block(self, kernel, values, rows):
-        # at 65 536 nodes, 13 times the largest default grid, either kernel
-        # holds at most 4.25 (rows x node) arrays and a few node-sized
-        # rows: 4000 lattice delays take the largest block, 64,
-        # a set off the lattice takes blocks of one, and 256 values of q
-        # run in four chunks of 64 (the pedestal reads the node row as x^2)
+    def test_memory_per_row_block(self, kernel, values, arrays):
+        # at 65 536 nodes, 13 times the largest default grid, both kernels
+        # take blocks of 64 rows, of delays or of q (the pedestal reads the
+        # node row as x^2), and hold a few node-sized rows besides: the
+        # interference sums one (64 x node) array, worked in place, and the
+        # pedestal at most four, q - x^2 and the three _sinc_branch forms
         nodes = 65536
         omega = np.linspace(0.0, 45.0, nodes)
         coef = np.random.default_rng(3).standard_normal(nodes)
@@ -654,7 +656,7 @@ class TestInterferenceSums:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (4.25 * rows + 3) * nodes * 8
+        assert peak <= (arrays * 64 + 3) * nodes * 8
 
 
 class TestDelayGrid:
