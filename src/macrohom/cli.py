@@ -78,7 +78,7 @@ def _trace_setup(config: RunConfig):
     pump = config.pump()
     crystal = config.crystal()
     det = config.detection()
-    tau = config.tau_grid()
+    tau = config.tau_grid("trace")
     grid = trace.default_grid(crystal, pump)
     return pump, crystal, det, tau, grid
 
@@ -129,8 +129,7 @@ def cmd_sweep_gain(config: RunConfig, args):
     pump = config.pump()
     crystal = config.crystal()
     gains = config.sweep_gains()
-    tau_max, tau_step = config.delay_range("sweep")
-    rows = trace.fwhm_vs_gain(gains, crystal, pump, tau_max=tau_max, tau_step=tau_step)
+    rows = trace.fwhm_vs_gain(config.tau_grid("sweep"), gains, crystal, pump)
 
     widths = {g: w for g, w in rows}
     summary = {}

@@ -147,9 +147,9 @@ class RunConfig:
 
     # -- grids -------------------------------------------------------------
 
-    def delay_range(self, section: str):
-        """(tau_max_ps, tau_step_ps) of a section's delay grid, both finite
-        and positive."""
+    def tau_grid(self, section: str):
+        """The delay grid of ``section``, [trace] or [sweep]: finite,
+        positive bounds and at least 3 delays."""
         sec = self.raw[section]
         tau_max = _parse_float(section, "tau_max_ps", sec["tau_max_ps"])
         step = _parse_float(section, "tau_step_ps", sec["tau_step_ps"])
@@ -157,12 +157,9 @@ class RunConfig:
             raise ValidationError(f"[{section}] delay grid bounds must be finite")
         if not (tau_max > 0 and step > 0):
             raise ValidationError(f"[{section}] delay grid must have positive extent")
-        return tau_max, step
-
-    def tau_grid(self):
-        tau = delay_grid(*self.delay_range("trace"))
+        tau = delay_grid(tau_max, step)
         if tau.size < 3:
-            raise ValidationError("[trace] delay grid is empty")
+            raise ValidationError(f"[{section}] delay grid is empty")
         return tau
 
     def sweep_gains(self):

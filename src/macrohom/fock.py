@@ -51,15 +51,17 @@ class TmsvState:
 
 
 def default_n_max(g: float) -> int:
-    """Truncation depth: generous photon-number head room plus the
-    explicit adequacy requirement tanh(g)^(2 n) < 1e-10."""
+    """Truncation depth: at least 32, and the adequacy requirement
+    tanh(g)^(2 n) < 1e-10.  That requirement alone leaves photon-number
+    head room: -ln tanh g <= 1/(e^g sinh g), so its depth is at least
+    11.5 e^g sinh g > 23 sinh^2 g, above 12 times the mean photon number."""
     if g == 0.0:
         return 32
     th = math.tanh(g)
     if not 0.0 < th < 1.0:  # NaN, or tanh rounded to 1 (g above about 19) where log(th) = 0
         raise ValidationError(f"no truncation depth gives tanh(g)^(2 n) < {_ADEQUACY} at gain {g}")
     n_adequate = int(math.ceil(math.log(_ADEQUACY) / (2.0 * math.log(th)))) + 1
-    return max(32, int(math.ceil(12.0 * math.sinh(g) ** 2)), n_adequate)
+    return max(32, n_adequate)
 
 
 def tmsv(g: float) -> TmsvState:

@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .params import C_NM_PER_PS, CrystalParams, PumpParams, SpectralGrid
+from .params import _MAX_FLOATS, C_NM_PER_PS, CrystalParams, PumpParams, SpectralGrid
 
 # |v(omega_max, 0)|^2 must fall below this fraction of |v(0,0)|^2
 TAIL_CUTOFF = 1e-6
@@ -235,6 +235,7 @@ def fit_gain_curve(powers, intensities):
     not +, down to x = 1e-3 (sinh^2 is then quadratic to 3.3e-7 and fixes
     no c), and doubles while it is not -, until sinh overflows to nan.
     Bisection to adjacent floats finds the root; no bracket: NumericalError.
+    The sum forms an n x n array, so n^2 above ``_MAX_FLOATS`` is refused.
     """
     p = np.asarray(powers, dtype=float)
     y = np.asarray(intensities, dtype=float)
@@ -242,6 +243,11 @@ def fit_gain_curve(powers, intensities):
         raise ValidationError("need at least 3 (power, intensity) points")
     if p.shape != y.shape:
         raise ValidationError("powers and intensities must have equal length")
+    if p.size * p.size > _MAX_FLOATS:
+        raise ValidationError(
+            f"{p.size} points need {p.size}^2 float64 values per fit step, "
+            f"above the cap of {_MAX_FLOATS}"
+        )
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(y))):
         raise ValidationError("powers and intensities must be finite")
     if np.any(p <= 0):

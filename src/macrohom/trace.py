@@ -309,6 +309,8 @@ def nrf_and_pedestal(tau_grid, crystal: CrystalParams, pump: PumpParams, grid: S
                 )
             # the interference sum's rounding floor (Higham, *Accuracy and Stability*, ch. 4)
             floor = np.finfo(float).eps * float(np.sum(np.abs(interf_coef))) / denom
+            if not np.isfinite(floor):
+                raise NumericalError(f"interference weights have non-finite values at gain {pump.g_peak}")
             if n_in and floor > 1e-6 * np.min(nrf[:n_in]):
                 raise NumericalError(
                     f"the interference sum's rounding floor {floor:.3g} exceeds 1e-6 of the "
@@ -447,26 +449,14 @@ def mode_count_long(nrf: Trace, pedestal: Trace) -> float:
     return fwhm_pedestal(pedestal) / fwhm_narrow(nrf, pedestal)
 
 
-def fwhm_vs_gain(
-    g_values,
-    crystal: CrystalParams,
-    pump_template: PumpParams,
-    tau_max: float = 6.0,
-    tau_step: float = 0.02,
-):
-    """Narrow-peak FWHM for each gain value, at fixed crystal calibration.
-
-    Returns a list of (g, fwhm_ps) rows, one per input gain.
-    """
-    g_values = [float(g) for g in g_values]
-    for g in g_values:
-        if not (0.0 < g <= 50.0):
-            raise ValidationError(f"gain {g} outside (0, 50]")
-    tau = delay_grid(tau_max, tau_step)
+def fwhm_vs_gain(tau_grid, g_values, crystal: CrystalParams, pump_template: PumpParams):
+    """Narrow-peak FWHM on ``tau_grid`` for each gain value, at fixed
+    crystal calibration.  Returns a list of (g, fwhm_ps) rows, one per
+    input gain; each gain takes the refusals of :class:`PumpParams`,
+    :func:`default_grid` and :func:`nrf_and_pedestal`."""
     rows = []
     for g in g_values:
-        pump = replace(pump_template, g_peak=g)
-        grid = default_grid(crystal, pump)
-        nrf, ped = nrf_and_pedestal(tau, crystal, pump, grid)
-        rows.append((g, fwhm_narrow(nrf, ped)))
+        pump = replace(pump_template, g_peak=float(g))
+        nrf, ped = nrf_and_pedestal(tau_grid, crystal, pump, default_grid(crystal, pump))
+        rows.append((pump.g_peak, fwhm_narrow(nrf, ped)))
     return rows

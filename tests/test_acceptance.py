@@ -23,6 +23,7 @@ from macrohom.montecarlo import (
 from macrohom.params import CrystalParams, DetectionModel, PumpParams, SpectralGrid
 from macrohom.trace import (
     default_grid,
+    delay_grid,
     detected_trace,
     fwhm_vs_gain,
     g2_trace,
@@ -117,7 +118,7 @@ def test_03_narrow_pedestal_structure():
 def test_04_fwhm_narrowing(crystal):
     t0 = time.monotonic()
     gains = np.linspace(5.5, 7.5, 11)
-    rows = fwhm_vs_gain(gains, crystal, PUMP)
+    rows = fwhm_vs_gain(delay_grid(6.0, 0.02), gains, crystal, PUMP)
     elapsed = time.monotonic() - t0
     widths = dict(rows)
     ratio = widths[7.5] / widths[5.5]

@@ -9,6 +9,7 @@ import os
 import pathlib
 import pkgutil
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -113,7 +114,7 @@ class TestTraceCommand:
 
         config = RunConfig.load(str(tmp_path / "run.ini"))
         pump, crystal = config.pump(), config.crystal()
-        tau = config.tau_grid()
+        tau = config.tau_grid("trace")
         grid = default_grid(crystal, pump)
         reference = nrf_trace(tau, crystal, pump, grid)
         _, rows = read_csv(tmp_path / "trace.csv")
@@ -171,7 +172,8 @@ class TestWalkoffSizedGrid:
 
         assert run(tmp_path, command, f"[pump]\ngain = {gain}\n") == 0
         config = RunConfig.load(str(tmp_path / "run.ini"))
-        pump, crystal, det, tau = config.pump(), config.crystal(), config.detection(), config.tau_grid()
+        pump, crystal, det = config.pump(), config.crystal(), config.detection()
+        tau = config.tau_grid("trace")
         doubled = SpectralGrid.gauss_legendre(
             omega_max_for(crystal, pump), 2 * len(default_grid(crystal, pump))
         )
@@ -236,6 +238,29 @@ class TestSweepGainCommand:
         assert run(tmp_path, "sweep-gain", "[sweep]\ng_values = ,\n") == 2
         assert "g_values is empty" in capsys.readouterr().err
 
+    def test_high_gains_narrow_further(self, tmp_path, capsys):
+        assert run(tmp_path, "sweep-gain", "[sweep]\ng_values = 60,100,170\n") == 0
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(tmp_path / "sweep_gain.csv")
+        assert [g for g, _ in rows] == [60.0, 100.0, 170.0]
+        widths = [w for _, w in rows]
+        assert widths[0] > widths[1] > widths[2] > 0.0
+
+    # at 178 only the interference weights' absolute sum overflows; at 200
+    # the trace itself does
+    @pytest.mark.parametrize("gain", ["178", "200"])
+    def test_overflowing_gain_maps_to_3(self, tmp_path, capsys, gain):
+        assert run(tmp_path, "sweep-gain", f"[sweep]\ng_values = {gain}\n") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "non-finite" in err[0]
+        assert os.listdir(tmp_path) == ["run.ini"]
+
+    def test_grid_of_one_delay_rejected(self, tmp_path, capsys):
+        # the same refusal as [trace]'s, before _fwhm could see one sample
+        assert run(tmp_path, "sweep-gain", "[sweep]\ntau_max_ps = 0.01\n") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: [sweep] delay grid is empty"]
+
 
 class TestFitGainCommand:
     def make_data(self, tmp_path, noise=0.0):
@@ -289,6 +314,23 @@ class TestFitGainCommand:
         path.write_text("power_mw,intensity\n" + rows, encoding="latin-1")  # \xb5 is not UTF-8
         assert run(tmp_path, "fit-gain", f"[fit]\ndata = {path}\n") == code
         assert message in capsys.readouterr().err
+
+    def test_point_count_above_the_cap(self, tmp_path, capsys):
+        # 11 586^2 float64 values, the slope sum's n x n array, are the
+        # first square above the 2^27 cap: refused before any is allocated
+        n = 11586
+        path = tmp_path / "data.csv"
+        path.write_text("power_mw,intensity\n" + "".join(f"{k + 1},{k * k}\n" for k in range(n)))
+        tracemalloc.start()
+        try:
+            code = run(tmp_path, "fit-gain", f"[fit]\ndata = {path}\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {n} points need {n}^2 float64 values per fit step, above the cap of 134217728"]
+        assert peak < 0.01 * 8 * n * n
 
 
 class TestCalibrateCommand:

@@ -18,9 +18,8 @@ ACCESSORS = [
     ("pump",),
     ("crystal",),
     ("detection",),
-    ("delay_range", "trace"),
-    ("delay_range", "sweep"),
-    ("tau_grid",),
+    ("tau_grid", "trace"),
+    ("tau_grid", "sweep"),
     ("sweep_gains",),
     ("mc_tau_points",),
     ("mc_freq_bins",),

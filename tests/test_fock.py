@@ -90,6 +90,15 @@ class TestTmsv:
         with pytest.raises(ValidationError, match=r"gains up to 8\.482 fit"):
             tmsv(g)
 
+    def test_adequacy_alone_gives_the_photon_number_head_room(self):
+        # -ln tanh g <= 1/(e^g sinh g) puts the adequate depth above
+        # 23 sinh^2 g, so a 12 sinh^2 g term would never set n_max
+        for g in np.linspace(0.0, 19.0, 20_001)[1:]:
+            n_adequate = math.ceil(math.log(1e-10) / (2.0 * math.log(math.tanh(g)))) + 1
+            n_max = default_n_max(g)
+            assert n_max == max(32, n_adequate)
+            assert n_max >= 12.0 * math.sinh(g) ** 2
+
     def test_named_gain_is_the_largest_ladder_that_fits(self):
         assert default_n_max(8.482) + 1 <= fock._MAX_FLOATS < default_n_max(8.483) + 1
 

@@ -489,6 +489,25 @@ class TestFitGainCurve:
 
     @pytest.mark.parametrize(
         "powers, intens",
+        [([1.0, 2.0, 3.0], [1.0, 2.0]), ([1.0, 2.0, 3.0], [[1.0], [2.0], [3.0]])],
+    )
+    def test_shape_mismatch(self, powers, intens):
+        with pytest.raises(ValidationError, match=r"^powers and intensities must have equal length$"):
+            fit_gain_curve(powers, intens)
+
+    def test_point_count_cap(self, monkeypatch):
+        # the slope sum forms an n x n array: n^2 = 100 fits a cap of 100,
+        # 121 does not, and is refused before the sum is formed
+        monkeypatch.setattr(gain, "_MAX_FLOATS", 100)
+        powers = np.linspace(5.0, 55.0, 11)
+        intens = np.sinh(0.9 * np.sqrt(powers)) ** 2
+        c, _ = fit_gain_curve(powers[:10], intens[:10])
+        assert c == pytest.approx(0.9, rel=1e-9)
+        with pytest.raises(ValidationError, match=r"^11 points need 11\^2 .* above the cap of 100$"):
+            fit_gain_curve(powers, intens)
+
+    @pytest.mark.parametrize(
+        "powers, intens",
         [
             ([1.0, 2.0, 3.0], [1.0, math.nan, 5.0]),
             ([1.0, 2.0, 3.0], [1.0, math.inf, 5.0]),

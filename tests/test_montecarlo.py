@@ -55,6 +55,16 @@ class TestLatticeSpec:
         with pytest.raises(ValidationError):
             LatticeSpec(n_time_slices=0, n_freq_bins=4, slice_duration=0.1, bin_width=0.1)
 
+    @pytest.mark.parametrize(
+        "slice_duration, bin_width",
+        [(0.0, 0.1), (-0.1, 0.1), (0.1, 0.0), (0.1, -0.1), (math.nan, 0.1), (0.1, math.nan)],
+    )
+    def test_rejects_cell_sizes(self, slice_duration, bin_width):
+        with pytest.raises(ValidationError, match=r"^lattice cell sizes must be > 0$"):
+            LatticeSpec(
+                n_time_slices=4, n_freq_bins=4, slice_duration=slice_duration, bin_width=bin_width
+            )
+
     @pytest.mark.parametrize("bins", [0, -3])
     def test_default_rejects_no_bins(self, crystal, bins):
         with pytest.raises(ValidationError, match="at least one frequency bin"):

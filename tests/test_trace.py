@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -331,7 +332,7 @@ class TestFwhm:
         assert fwhm_narrow(nrf, ped) == pytest.approx(w, rel=1e-6)
 
     def test_gain_narrowing_ratio(self, crystal):
-        rows = fwhm_vs_gain([5.5, 7.5], crystal, PUMP)
+        rows = fwhm_vs_gain(delay_grid(6.0, 0.02), [5.5, 7.5], crystal, PUMP)
         ratio = rows[1][1] / rows[0][1]
         assert ratio == pytest.approx(0.80, abs=0.05)
 
@@ -456,37 +457,81 @@ class TestModeCounts:
         assert counts[2] / counts[0] == pytest.approx(4.0, rel=0.25)
 
 
+NO_GRID = "tau grid must be a nonempty 1-d sequence"
+NO_MAXIMUM = "narrow component has no positive maximum on the delay grid |tau| <= 2 ps"
+NOT_SHARED = "traces must share the same tau grid"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Trace(tau=[], value=[], kind="nrf_ideal"), NO_GRID),
+        (lambda: Trace(tau=[[0.0, 1.0]], value=[[1.0, 1.0]], kind="nrf_ideal"), NO_GRID),
+        (
+            lambda: Trace(tau=[0.0, 1.0], value=[1.0], kind="nrf_ideal"),
+            "tau and value must have equal length",
+        ),
+        (lambda: nrf_and_pedestal([], CrystalParams(), PUMP, SpectralGrid([1.0], [1.0])), NO_GRID),
+        (lambda: _fwhm(np.arange(3.0), np.array([0.0, -1.0, -2.0]), "narrow"), NO_MAXIMUM),
+        (lambda: _fwhm(np.arange(3.0), np.full(3, np.nan), "narrow"), NO_MAXIMUM),
+        (
+            lambda: fwhm_narrow(
+                Trace([0.0, 1.0], [2.0, 2.0], "nrf_ideal"),
+                Trace([0.0, 2.0], [1.0, 1.0], "nrf_pedestal"),
+            ),
+            NOT_SHARED,
+        ),
+        (
+            lambda: mode_count_long(
+                Trace([0.0, 1.0], [2.0, 2.0], "nrf_ideal"),
+                Trace([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], "nrf_pedestal"),
+            ),
+            NOT_SHARED,
+        ),
+        (lambda: mode_count_g2(1.1, 0.0), "mode occupation must be > 0"),
+        (lambda: mode_count_g2(1.1, -1.0), "mode occupation must be > 0"),
+        (lambda: mode_count_g2(1.1, math.nan), "mode occupation must be > 0"),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        call()
+
+
 class TestFwhmVsGain:
     def test_row_count_and_monotonicity(self, crystal):
         gs = [5.5, 6.0, 6.5, 7.0, 7.5]
-        rows = fwhm_vs_gain(gs, crystal, PUMP)
+        rows = fwhm_vs_gain(delay_grid(6.0, 0.02), gs, crystal, PUMP)
         assert len(rows) == len(gs)
         widths = [w for _, w in rows]
         assert all(b <= a for a, b in zip(widths, widths[1:]))
 
     def test_single_entry_consistency(self, crystal):
-        rows = fwhm_vs_gain([7.5], crystal, PUMP)
-        half = np.arange(0.0, 6.0001, 0.02)
-        tau = np.concatenate([-half[:0:-1], half])
+        tau = delay_grid(6.0, 0.02)
+        rows = fwhm_vs_gain(tau, [7.5], crystal, PUMP)
         grid = default_grid(crystal, PUMP)
         nrf = nrf_trace(tau, crystal, PUMP, grid)
         ped = pedestal_trace(tau, crystal, PUMP, grid)
         assert rows[0][1] == pytest.approx(fwhm_narrow(nrf, ped), rel=1e-12)
 
     def test_gain_bounds(self, crystal):
-        with pytest.raises(ValidationError):
-            fwhm_vs_gain([0.0], crystal, PUMP)
-        with pytest.raises(ValidationError):
-            fwhm_vs_gain([50.5], crystal, PUMP)
+        # no cap of its own: gain 0 has no spectral grid, and at gain 200
+        # the trace overflows, both refused by the trace's own checks
+        tau = delay_grid(6.0, 0.02)
+        with pytest.raises(ValidationError, match="peak gain must be > 0"):
+            fwhm_vs_gain(tau, [0.0], crystal, PUMP)
+        ((g, width),) = fwhm_vs_gain(tau, [50.5], crystal, PUMP)
+        assert g == 50.5 and 0.0 < width < math.inf
+        with pytest.raises(NumericalError, match="non-finite"):
+            fwhm_vs_gain(tau, [200.0], crystal, PUMP)
 
-
-    @pytest.mark.parametrize("g", [12.0, 20.0, 50.0])
+    @pytest.mark.parametrize("g", [12.0, 20.0, 50.0, 100.0, 170.0])
     def test_high_gain_narrow_width(self, crystal, g):
         # the same width from exactly rounded sums one delay at a time, and
         # from a grid with twice the cutoff and four times the nodes
-        ((_, width),) = fwhm_vs_gain([g], crystal, PUMP)
-        pump = replace(PUMP, g_peak=g)
         tau = delay_grid(6.0, 0.02)
+        ((_, width),) = fwhm_vs_gain(tau, [g], crystal, PUMP)
+        pump = replace(PUMP, g_peak=g)
         grid = default_grid(crystal, pump)
         nrf_direct, ped_direct = direct_values(tau, crystal, pump, grid)
         direct_width = _fwhm(tau, nrf_direct - ped_direct, "narrow")
