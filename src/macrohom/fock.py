@@ -14,14 +14,19 @@ beam 1's photons at +Omega and -Omega.  The moments follow in the
 Heisenberg picture (Campos, Saleh & Teich, Phys. Rev. A 40, 1371, 1989):
 on the s-photon sector, in the input basis |n, s-n>, beam 1's output count
 of one splitter is the tridiagonal operator T_s = B_s^T diag(k) B_s, with
-diagonal s/2 and off-diagonal 1/2 sqrt((n+1)(s-n)).  Beam 1's total count
-K = k1 + k2 is T_s (x) 1 + 1 (x) T_s, so <K> and <K^2> are sums over the
-(n, m) ladder grid of the phased amplitudes and T_s's entries; no splitter
-matrix is built.  The pass holds 5 (n_max + 1)^2 float64 values at once,
-0.56 MB at g = 1.5; ``hom_stats`` refuses a state whose pass would exceed
-2^27 values (gains above 3.401).  Intended for desk-scale gains (g <= 1.5
-or so); the macroscopic regime belongs to the Gaussian model this oracle
-validates.
+diagonal s/2 and off-diagonal 1/2 sqrt((n+1)(s-n)): behind the splitter
+out1 = (in1 + in2)/sqrt(2), so k = (a1+ a1 + a2+ a2 + a1+ a2 + a2+ a1)/2,
+whose cross terms move one photon between the inputs.  Beam 1's total count
+K = k1 + k2 is T_s (x) 1 + 1 (x) T_s.  At the ladder point (n, m) both
+hops T_s makes are 1/2 sqrt((n+1) m) and 1/2 sqrt(n (m+1)): s drops out,
+and with it every coupling between n and m except the weight
+|c_n|^2 |c_m|^2, which factorises.  Each moment of K is therefore built
+from four ladder moments, M_k = sum n^k |c_n|^2 (k = 0, 1, 2) and
+H = sum (n+1) c_n conj(c_{n+1}), and the oracle's memory is one
+ladder-sized temporary beside the state.  ``tmsv`` counts both against
+the memory cap, the oracle's only one (gains above 8.135 are refused).
+Intended for desk-scale gains; the macroscopic regime belongs to the
+Gaussian model this oracle validates.
 """
 
 from __future__ import annotations
@@ -67,15 +72,16 @@ def default_n_max(g: float) -> int:
 def tmsv(g: float) -> TmsvState:
     """Two-mode squeezed vacuum with gain g, amplitudes tanh^n(g)/cosh(g),
     truncated at :func:`default_n_max`.  Refuses, before it allocates, a
-    ladder of more than ``_MAX_FLOATS`` values (gains above 8.482)."""
+    ladder whose two copies, the state and the temporary of
+    :func:`hom_stats`, exceed ``_MAX_FLOATS`` values (gains above 8.135)."""
     if not g >= 0:  # NaN fails too
         raise ValidationError(f"gain must be >= 0, got {g}")
     th = math.tanh(g)
     n_max = default_n_max(g) if th < 1.0 else math.inf
-    if n_max + 1 > _MAX_FLOATS:
+    if 2 * (n_max + 1) > _MAX_FLOATS:
         raise ValidationError(
-            f"the |n,n> ladder at gain {g} needs more than {_MAX_FLOATS} float64 values; "
-            f"gains up to {_largest_fitting_gain(lambda top: top + 1)} fit"
+            f"the |n,n> ladder at gain {g} and its one temporary need more than "
+            f"{_MAX_FLOATS} float64 values; gains up to {_largest_fitting_gain()} fit"
         )
     if th > 0 and th ** (2 * n_max) >= _ADEQUACY:
         raise ValidationError(
@@ -91,29 +97,12 @@ def tmsv(g: float) -> TmsvState:
     return TmsvState(amplitudes=amps)
 
 
-def _hop(n, s):
-    """Off-diagonal T_s[n, n+1] of beam 1's output count on the s-photon
-    sector, in the input basis |n, s-n>: 1/2 sqrt((n+1)(s-n)).
-
-    Behind the 50:50 splitter out1 = (in1 + in2)/sqrt(2), so
-    k = (a1+ a1 + a2+ a2 + a1+ a2 + a2+ a1)/2: the diagonal is s/2 and the
-    cross terms move one photon between the inputs.
-    """
-    return 0.5 * np.sqrt((n + 1.0) * (s - n))
-
-
-def _grid_floats(n_max: int) -> int:
-    """float64 values the (n, m) grid pass of ``hom_stats`` holds at once,
-    five per grid point: the complex amplitudes count two, and once they
-    are freed at most five real grids are alive."""
-    return 5 * (n_max + 1) ** 2
-
-
-def _largest_fitting_gain(floats) -> float:
+def _largest_fitting_gain() -> float:
     """The largest gain, in steps of 0.001, whose default truncation n_max
-    keeps ``floats(n_max)`` within ``_MAX_FLOATS``."""
+    keeps the ladder and its one temporary, 2 (n_max + 1) values, within
+    ``_MAX_FLOATS``."""
     milli = 0
-    while floats(default_n_max((milli + 1) / 1000)) <= _MAX_FLOATS:
+    while 2 * (default_n_max((milli + 1) / 1000) + 1) <= _MAX_FLOATS:
         milli += 1
     return milli / 1000
 
@@ -127,57 +116,40 @@ def hom_stats(state: TmsvState, phi: float):
     var_diff = Var(N1 - N2), n_total = <N1 + N2> and g2_cross is the
     cross-correlation of the two outputs.  For vacuum input g2_cross is
     undefined and returned as nan.
+
+    The doubled state puts c_n c_m exp(i (n - m) phi/2) on the ladder point
+    (n, m), and T_s's diagonal s/2 gives <K> = s there.  <(K - s)^2> collects
+    the squared hops of both splitters, (n+1) m/4 + n (m+1)/4 each, which
+    sum to n m + (n + m)/2, and the pair hop n -> n+1 at +Omega with
+    m -> m-1 at -Omega, the only term the phase reaches:
+
+        fluct = M1 (M0 + M1) + |H|^2 cos(phi)
+
+    N1 = K and N2 = 2 s - K, so Var(N1 - N2) = 4 fluct, <N1 + N2> = 4 M0 M1
+    and the cross moment <N1 N2> = <s^2> - fluct = 2 (M0 M2 + M1^2) - fluct.
+    The total probability is M0^2.  Memory is one temporary the size of
+    the state's ladder.
     """
     if not math.isfinite(phi):
         raise ValidationError(f"delay phase phi must be finite, got {phi}")
     c = state.amplitudes
-    n_max = state.n_max
-    floats = _grid_floats(n_max)
-    if floats > _MAX_FLOATS:
-        raise ValidationError(
-            f"the {n_max + 1} x {n_max + 1} ladder grid needs {floats:.3g} float64 values, "
-            f"above the cap of {_MAX_FLOATS}; gains up to {_largest_fitting_gain(_grid_floats)} fit"
-        )
-
-    # w[n, m] = c_n c_m exp(i (n - m) phi/2): beam 1 holds n photons at
-    # +Omega and m at -Omega, both splitters see the sector s = n + m
-    idx = np.arange(n_max + 1.0)
-    a = c * np.exp(0.5j * phi * idx)
-    w = np.multiply.outer(a, a.conj())
-    # Re(w*[n, m] w[n+1, m-1]): the pair hop both splitters' T_s make together
-    cross = w.real[:-1, 1:] * w.real[1:, :-1]
-    cross += w.imag[:-1, 1:] * w.imag[1:, :-1]
-    p = np.abs(w)
-    del w
-    p *= p
-    n, m = idx[:, None], idx[None, :]
-    s = n + m
-    prob = float(p.sum())
+    # t = n c, formed in place: the only array of the ladder's size
+    t = np.arange(c.size, dtype=np.result_type(c, float))
+    t *= c
+    m0 = np.vdot(c, c).real
+    m1 = np.vdot(c, t).real
+    m2 = np.vdot(t, t).real
+    h = np.vdot(t[1:], c[:-1])  # sum (n+1) c_n conj(c_{n+1})
+    prob = float(m0 * m0)
     if abs(prob - 1.0) > 1e-6:
-        raise ValidationError(f"ladder-grid expansion lost probability: total {prob}")
-
-    # K = k1 + k2 is T_s (x) 1 + 1 (x) T_s, and T_s's diagonal s/2 gives
-    # <K> = s on each grid point.  <(K - s)^2> collects the squared hops in
-    # (T_s^2)[n, n] and (T_s^2)[m, m], and the pair hop n -> n+1 at +Omega
-    # with m -> m-1 at -Omega, the only term the phase reaches
-    fluct = 0.0
-    for j in (n - 1.0, n, m - 1.0, m):
-        fluct += float(np.vdot(p, _hop(j, s) ** 2))
-    cross *= _hop(n[:-1], s[:-1, 1:])
-    cross *= _hop(m[:, 1:] - 1.0, s[:-1, 1:])
-    fluct += 4.0 * float(cross.sum())
-    del cross
-    p *= s
-    e_k = float(p.sum())
-    e_ss = float(np.vdot(p, s))  # <s^2> = <s K>
-    # N1 = K and N2 = 2 s - K: Var(N1 - N2) = 4 <(K - s)^2>, and the cross
-    # moment <N1 N2> = 2 <s K> - <K^2> = <s^2> - fluct
-    var_diff = 4.0 * fluct
+        raise ValidationError(f"ladder moments lost probability: total {prob}")
+    fluct = float(m1 * (m0 + m1) + abs(h) ** 2 * math.cos(phi))
+    e_k = 2.0 * float(m0 * m1)  # <K> = <s>
     if e_k > 0:
-        g2_cross = (e_ss - fluct) / (e_k * e_k)
+        g2_cross = (2.0 * float(m0 * m2 + m1 * m1) - fluct) / (e_k * e_k)
     else:
         g2_cross = float("nan")
-    return var_diff, 2.0 * e_k, g2_cross
+    return 4.0 * fluct, 2.0 * e_k, g2_cross
 
 
 def nrf_single_mode(g: float, g_delayed: float, phi: float) -> float:

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -51,6 +52,16 @@ class TestTmsv:
         with pytest.raises(ValidationError, match="n_max=40 inadequate"):
             tmsv(1.5)
 
+    def test_truncated_norm_below_slack(self, monkeypatch):
+        # the adequacy bound keeps the norm above 1 - 1e-10, so only a
+        # loosened bound reaches the norm check: 1 - tanh(1.5)^82 here
+        monkeypatch.setattr(fock, "default_n_max", lambda g: 40)
+        monkeypatch.setattr(fock, "_ADEQUACY", 1.0)
+        with pytest.raises(ValidationError) as err:
+            tmsv(1.5)
+        found = re.fullmatch(r"truncated norm (\S+) below 1 - 1e-08", str(err.value))
+        assert float(found[1]) == pytest.approx(1.0 - math.tanh(1.5) ** 82, rel=1e-14)
+
     @pytest.mark.parametrize("g", [1e-6, 0.01, 0.2, 0.6, 1.0, 1.5, 2.0, 3.0, 5.0])
     def test_default_depth_is_adequate(self, g):
         assert math.tanh(g) ** (2 * default_n_max(g)) < 1e-10
@@ -83,11 +94,11 @@ class TestTmsv:
         with pytest.raises(ValidationError, match="gain must be >= 0, got nan"):
             tmsv(math.nan)
 
-    @pytest.mark.parametrize("g", [10.0, 19.1, 20.0])
+    @pytest.mark.parametrize("g", [8.136, 10.0, 19.1, 20.0])
     def test_refuses_ladder_above_cap(self, g):
         # at g = 10 the ladder would hold 2.8e9 values (22 GB); from about
         # g = 19.1 tanh rounds to 1 and no finite truncation exists
-        with pytest.raises(ValidationError, match=r"gains up to 8\.482 fit"):
+        with pytest.raises(ValidationError, match=r"gains up to 8\.135 fit"):
             tmsv(g)
 
     def test_adequacy_alone_gives_the_photon_number_head_room(self):
@@ -98,9 +109,6 @@ class TestTmsv:
             n_max = default_n_max(g)
             assert n_max == max(32, n_adequate)
             assert n_max >= 12.0 * math.sinh(g) ** 2
-
-    def test_named_gain_is_the_largest_ladder_that_fits(self):
-        assert default_n_max(8.482) + 1 <= fock._MAX_FLOATS < default_n_max(8.483) + 1
 
     @pytest.mark.parametrize("g", [math.nan, 19.1, 20.0])
     def test_depth_undefined_where_tanh_is_not_below_one(self, g):
@@ -223,9 +231,11 @@ def eigen_bs_matrix(s):
 
 
 def number_operator(s):
-    """hom_stats's T_s: beam 1's output count on the s-photon sector in the
-    input basis |n, s-n>, diagonal s/2 and off-diagonal fock._hop."""
-    hop = fock._hop(np.arange(s, dtype=float), float(s))
+    """The T_s behind hom_stats's closed form: beam 1's output count on the
+    s-photon sector in the input basis |n, s-n>, diagonal s/2 and
+    off-diagonal 1/2 sqrt((n+1)(s-n))."""
+    n = np.arange(s, dtype=float)
+    hop = 0.5 * np.sqrt((n + 1.0) * (s - n))
     return np.diag(np.full(s + 1, 0.5 * s)) + np.diag(hop, 1) + np.diag(hop, -1)
 
 
@@ -276,10 +286,19 @@ class TestOutputNumberOperator:
         eig = np.linalg.eigvalsh(number_operator(s))
         np.testing.assert_allclose(eig, np.arange(s + 1.0), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("phi", [0.0, 0.3, math.pi / 2.0, math.pi])
-    def test_joint_output_distribution(self, phi):
-        state = tmsv(0.2)
-        assert state.n_max == default_n_max(0.2)
+    @pytest.mark.parametrize("rotation", [0.0, 0.7])
+    @pytest.mark.parametrize("g", [0.2, 0.6])
+    @pytest.mark.parametrize("phi", [0.0, 0.3, math.pi / 2.0, math.pi, 2.0])
+    def test_joint_output_distribution(self, g, phi, rotation):
+        # both gains truncate at n_max = 32, so the splitter matrices are
+        # built once; the phase-rotated ladder c_n exp(0.7 i n) has complex
+        # amplitudes, and its tensor square differs from the real one by the
+        # phase exp(0.7 i s) on each sector, which no moment sees
+        state = tmsv(g)
+        assert state.n_max == 32
+        if rotation:
+            n = np.arange(state.n_max + 1)
+            state = fock.TmsvState(amplitudes=state.amplitudes * np.exp(1j * rotation * n))
         var_diff, n_total, g2 = hom_stats(state, phi)
         bf_var, bf_total, bf_g2 = brute_force_stats(state, phi)
         # at phi = pi the variance sits at the rounding floor, so its yardstick
@@ -291,39 +310,26 @@ class TestOutputNumberOperator:
 
 
 class TestMemoryGuard:
-    def test_grid_floats_is_what_the_pass_holds(self):
+    def test_hom_stats_holds_one_ladder_sized_temporary(self):
         import tracemalloc
 
-        state = tmsv(2.5)  # an 857 x 857 grid, 29 MB counted
-        counted = 8 * fock._grid_floats(state.n_max)
+        state = tmsv(6.5)  # a ladder of about 20 MB
         tracemalloc.start()
         try:
             hom_stats(state, 0.3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert 0.95 * counted <= peak <= 1.01 * counted
-
-    def test_refuses_before_building(self):
-        import tracemalloc
-
-        state = tmsv(3.5)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValidationError, match=r"gains up to 3\.401 fit"):
-                hom_stats(state, 0.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * (state.n_max + 1) ** 2 / 100  # not one grid row in a hundred
+        assert peak <= 1.05 * state.amplitudes.nbytes
 
     def test_named_gain_is_the_largest_that_fits(self):
-        fits = fock._grid_floats(default_n_max(3.401))
-        assert fits <= fock._MAX_FLOATS < fock._grid_floats(default_n_max(3.402))
+        # tmsv counts the ladder and hom_stats's one temporary
+        assert 2 * (default_n_max(8.135) + 1) <= fock._MAX_FLOATS
+        assert fock._MAX_FLOATS < 2 * (default_n_max(8.136) + 1)
 
+    @pytest.mark.parametrize("g", [2.5, 3.5, 5.0, 6.5])
     @pytest.mark.parametrize("phi", [0.0, math.pi / 2.0, math.pi])
-    def test_gain_above_the_old_sector_cap(self, phi):
-        g = 2.5
+    def test_gain_above_the_old_sector_cap(self, g, phi):
         var_diff, n_total, _ = hom_stats(tmsv(g), phi)
         peak = nrf_single_mode(g, g, 0.0)
         expected = nrf_single_mode(g, g, phi)

@@ -255,6 +255,12 @@ class TestSpectralFwhm:
         assert crystal.walkoff_slope > 0
         assert spectral_fwhm_nm(crystal, REF_PUMP) == pytest.approx(1.3, abs=1e-3)
 
+    def test_zero_walkoff_has_no_width(self):
+        with pytest.raises(
+            NumericalError, match=r"^zero walkoff: spectrum has no finite width$"
+        ):
+            spectral_fwhm_nm(crystal_with(0.0), REF_PUMP)
+
     def test_scaling_in_walkoff_length_product(self):
         base = crystal_with(0.2)
         doubled = crystal_with(0.4)

@@ -195,6 +195,14 @@ class TestSimulateEnsemble:
     def test_wigner_guard(self, crystal, lattice):
         assert wigner_cell_occupancy(crystal, PUMP, lattice) >= 10.0
 
+    def test_wigner_occupancy_is_zero_without_flux(self, crystal):
+        # no gain, no photons: the photon-weighted mean has no weight
+        pump = PumpParams(g_peak=0.0, t_p=18.0)
+        lattice = LatticeSpec(
+            n_time_slices=400, n_freq_bins=8, slice_duration=0.2, bin_width=0.5
+        )
+        assert wigner_cell_occupancy(crystal, pump, lattice) == 0.0
+
     # criterion 6's two ensembles (m = 1, 16 bins, 6000 pulses, its seeds)
     # as a whole-chunk draw gave them: 16 clusters make every 256-pulse
     # chunk one block, so the per-block draw reads the stream in that order

@@ -319,6 +319,14 @@ class TestVisibility:
             visibility(t)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_trace_refuses_non_finite_values(bad):
+    # the trace kernels stop overflowing weights earlier, so only a
+    # hand-built trace reaches this check
+    with pytest.raises(NumericalError, match=r"^nrf_ideal trace has non-finite values$"):
+        Trace(tau=np.arange(3.0), value=np.array([1.0, bad, 2.0]), kind="nrf_ideal")
+
+
 def triangle(tau, half_base):
     return np.clip(1.0 - np.abs(tau) / half_base, 0.0, None)
 
