@@ -149,7 +149,7 @@ def cmd_sweep_gain(config: RunConfig, args):
 
 def _read_fit_csv(path):
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # a leading BOM is skipped
             rows = list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ValidationError(f"{path}: not a readable UTF-8 CSV: {exc}")

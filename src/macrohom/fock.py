@@ -40,7 +40,6 @@ from .errors import ValidationError
 from .params import _MAX_FLOATS
 
 _ADEQUACY = 1e-10
-_NORM_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,9 @@ def default_n_max(g: float) -> int:
 
 def tmsv(g: float) -> TmsvState:
     """Two-mode squeezed vacuum with gain g, amplitudes tanh^n(g)/cosh(g),
-    truncated at :func:`default_n_max`.  Refuses, before it allocates, a
-    ladder whose two copies, the state and the temporary of
+    truncated at :func:`default_n_max`, so the truncation drops
+    tanh^(2 n_max + 2) < 1e-10 of the norm.  Refuses, before it allocates,
+    a ladder whose two copies, the state and the temporary of
     :func:`hom_stats`, exceed ``_MAX_FLOATS`` values (gains above 8.135)."""
     if not g >= 0:  # NaN fails too
         raise ValidationError(f"gain must be >= 0, got {g}")
@@ -83,28 +83,20 @@ def tmsv(g: float) -> TmsvState:
             f"the |n,n> ladder at gain {g} and its one temporary need more than "
             f"{_MAX_FLOATS} float64 values; gains up to {_largest_fitting_gain()} fit"
         )
-    if th > 0 and th ** (2 * n_max) >= _ADEQUACY:
-        raise ValidationError(
-            f"n_max={n_max} inadequate for g={g}: tanh^(2 n_max) = {th ** (2 * n_max):.3e}"
-        )
     # built in place: the ladder is the only array of its size held
     amps = np.arange(n_max + 1, dtype=float)
     np.power(th, amps, out=amps)
     amps /= math.cosh(g)
-    norm = float(np.dot(amps, amps))
-    if norm < 1.0 - _NORM_SLACK:
-        raise ValidationError(f"truncated norm {norm} below 1 - {_NORM_SLACK}")
     return TmsvState(amplitudes=amps)
 
 
 def _largest_fitting_gain() -> float:
     """The largest gain, in steps of 0.001, whose default truncation n_max
     keeps the ladder and its one temporary, 2 (n_max + 1) values, within
-    ``_MAX_FLOATS``."""
-    milli = 0
-    while 2 * (default_n_max((milli + 1) / 1000) + 1) <= _MAX_FLOATS:
-        milli += 1
-    return milli / 1000
+    ``_MAX_FLOATS``: :func:`default_n_max` inverted, n_max <= N holds while
+    ln(1e-10) / (2 ln tanh g) <= N - 1."""
+    n = _MAX_FLOATS // 2 - 1
+    return math.floor(1000 * math.atanh(math.exp(math.log(_ADEQUACY) / (2 * (n - 1))))) / 1000
 
 
 def hom_stats(state: TmsvState, phi: float):

@@ -89,6 +89,23 @@ class TestTraceCommand:
         assert run(tmp_path, "trace", "tau_max_ps = 10\n") == 2
         assert "malformed config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["[pump]\ngain 7.5\n", "gain = 7.5\n[pump]\n", "[pump]\n[pump]\n"])
+    def test_malformed_config_is_one_stderr_line(self, tmp_path, capsys, text):
+        assert run(tmp_path, "calibrate", text) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: malformed config")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        outputs = []
+        for bom in ("", "\ufeff"):
+            out = tmp_path / f"bom{len(bom)}"
+            out.mkdir()
+            cfg = out / "run.ini"
+            cfg.write_text(bom + "[pump]\ngain = 7.0\n", encoding="utf-8")
+            assert main(["calibrate", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append((out / "calibration.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_non_utf8_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_bytes(b"[trace]\ntau_max_ps = 10\xff\n")
@@ -283,6 +300,15 @@ class TestFitGainCommand:
         manifest = read_manifest(tmp_path)
         assert manifest["summary"]["c_per_sqrt_mw"] == pytest.approx(c_true, rel=1e-3)
         assert manifest["summary"]["gain_at_max_power"] == pytest.approx(7.5, rel=1e-3)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path, _ = self.make_data(tmp_path)
+        outputs = []
+        for bom in ("", "\ufeff"):
+            path.write_text(bom + path.read_text(encoding="utf-8-sig"), encoding="utf-8")
+            assert run(tmp_path, "fit-gain", f"[fit]\ndata = {path}\n") == 0
+            outputs.append((tmp_path / "fit_gain_residuals.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_malformed_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -489,23 +515,55 @@ class TestMcCommand:
 TINY_GAIN = "[crystal]\nwalkoff_ps_per_mm = 0.2\n[pump]\ngain = 1e-200\n"
 
 
+# each float key, with a command that reads it
+FLOAT_KEYS = [
+    ("crystal", "length_mm", "calibrate"),
+    ("crystal", "walkoff_ps_per_mm", "g2"),
+    ("crystal", "calibration_fwhm_nm", "calibrate"),
+    ("pump", "gain", "calibrate"),
+    ("pump", "pulse_fwhm_ps", "trace"),
+    ("pump", "degenerate_nm", "mc"),
+    ("detection", "efficiency", "trace"),
+    ("detection", "noise_var", "g2"),
+    ("trace", "tau_max_ps", "trace"),
+    ("trace", "tau_step_ps", "g2"),
+    ("sweep", "g_values", "sweep-gain"),
+    ("sweep", "tau_max_ps", "sweep-gain"),
+    ("sweep", "tau_step_ps", "sweep-gain"),
+    ("mc", "tau_points", "mc"),
+]
+INT_KEYS = [("detection", "modes", "g2"), ("detection", "pulses", "mc"), ("mc", "n_freq_bins", "mc")]
+
+
 class TestNonFiniteInputs:
+    def test_every_numeric_key_is_listed(self):
+        listed = {(s, k) for s, k, _ in FLOAT_KEYS + INT_KEYS}
+        assert listed == {(s, k) for s, keys in _DEFAULTS.items() for k in keys} - {("fit", "data")}
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("section, key, command", FLOAT_KEYS)
+    def test_non_finite_value_refused_once(self, tmp_path, capsys, section, key, command, value):
+        assert run(tmp_path, command, f"[{section}]\n{key} = {value}\n") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: [{section}] {key}: expected a finite number, got {value!r}"]
+
+    @pytest.mark.parametrize("section, key, command", INT_KEYS)
+    def test_integer_beyond_float64_refused_once(self, tmp_path, capsys, section, key, command):
+        # every formula that reads the count works in float64, where it overflows
+        assert run(tmp_path, command, f"[{section}]\n{key} = 1{'0' * 400}\n") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: [{section}] {key}: integer beyond the float64 range"]
+
     @pytest.mark.parametrize(
         "command, config_text, message",
         [
-            ("calibrate", "[pump]\ngain = inf\n", "g_peak must be finite"),
             ("calibrate", "[pump]\ngain = 1000\n", "sinh^2 overflows"),
-            ("g2", "[crystal]\nwalkoff_ps_per_mm = nan\n", "walkoff_slope must be finite"),
-            ("trace", "[detection]\nnoise_var = nan\n", "noise_var must be finite"),
-            ("trace", "[trace]\ntau_max_ps = inf\n", "delay grid bounds must be finite"),
             ("sweep-gain", "[sweep]\ntau_max_ps = abc\n", "tau_max_ps: expected a number"),
-            ("sweep-gain", "[sweep]\ntau_max_ps = inf\n", "delay grid bounds must be finite"),
-            ("mc", "[mc]\ntau_points = 0,nan\n", "tau_points: values must be finite"),
+            ("mc", "[mc]\ntau_points = 0,nan\n", "tau_points: expected a finite number, got 'nan'"),
             # grids too large to build are refused from their size estimate
             ("trace", "[trace]\ntau_max_ps = 1e300\n", "points per side"),
             ("sweep-gain", "[sweep]\ntau_max_ps = 1e300\n", "points per side"),
             ("trace", "[trace]\ntau_step_ps = 1e-300\n", "points per side"),
-            ("calibrate", "[crystal]\ncalibration_fwhm_nm = inf\n", "must be finite"),
             ("mc --seed -1", "[detection]\npulses = 4\n", "seed must be a non-negative"),
             ("mc", "[detection]\npulses = 4\n[mc]\nseed = -5\n", "unknown key 'seed'"),
             ("mc --threads 0", "[detection]\npulses = 4\n", "thread count must be >= 1"),

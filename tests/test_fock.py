@@ -1,7 +1,6 @@
 import functools
 import math
 import os
-import re
 import subprocess
 import sys
 
@@ -46,21 +45,19 @@ class TestTmsv:
         var_diff = np.sum(p * (n - n) ** 2)
         assert var_diff == 0.0
 
-    def test_truncation_inadequate(self, monkeypatch):
-        # tanh(1.5)^80 is about 3.4e-4, far above the 1e-10 adequacy bound
-        monkeypatch.setattr(fock, "default_n_max", lambda g: 40)
-        with pytest.raises(ValidationError, match="n_max=40 inadequate"):
-            tmsv(1.5)
-
-    def test_truncated_norm_below_slack(self, monkeypatch):
-        # the adequacy bound keeps the norm above 1 - 1e-10, so only a
-        # loosened bound reaches the norm check: 1 - tanh(1.5)^82 here
-        monkeypatch.setattr(fock, "default_n_max", lambda g: 40)
-        monkeypatch.setattr(fock, "_ADEQUACY", 1.0)
-        with pytest.raises(ValidationError) as err:
-            tmsv(1.5)
-        found = re.fullmatch(r"truncated norm (\S+) below 1 - 1e-08", str(err.value))
-        assert float(found[1]) == pytest.approx(1.0 - math.tanh(1.5) ** 82, rel=1e-14)
+    def test_default_depth_keeps_the_norm(self):
+        # tmsv checks neither the adequacy nor the norm again: default_n_max
+        # alone makes tanh^(2 n_max) < 1e-10 at every gain that fits the
+        # cap, so the ladder's norm is 1 - tanh^(2 n_max + 2) > 1 - 1e-10.
+        # Computed, the half-ulp roundings of tanh g and cosh g move it by up
+        # to cosh^2 g eps more (the sum 1/(1 - tanh^2) magnifies the first
+        # by 2 sinh^2 g): from g = 4.5 on it lands up to 0.48 of that below
+        for g in np.linspace(0.0, 8.135, 8136):
+            assert math.tanh(g) ** (2 * default_n_max(g)) < 1e-10, g
+        for g in np.linspace(0.0, 6.5, 131):
+            amps = tmsv(g).amplitudes
+            rounding = math.cosh(g) ** 2 * np.finfo(float).eps
+            assert math.fsum(amps * amps) >= 1.0 - 1e-10 - rounding, g
 
     @pytest.mark.parametrize("g", [1e-6, 0.01, 0.2, 0.6, 1.0, 1.5, 2.0, 3.0, 5.0])
     def test_default_depth_is_adequate(self, g):
